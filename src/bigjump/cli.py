@@ -35,8 +35,10 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out-dir", default=".")
+        if name != "validate":
+            p.add_argument("--out-dir", default=".")
+        if name == "run":
+            p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -49,11 +51,12 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         return _fail(f"malformed config at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                      EXIT_VALIDATION)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.command == "paths":
-        config["kind"] = "paths"
-        config.setdefault("n_paths", 4)
+    if isinstance(config, dict):  # anything else fails validation below
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.command == "paths":
+            config["kind"] = "paths"
+            config.setdefault("n_paths", 4)
 
     if args.command == "validate":
         errors = validate(config)
@@ -64,10 +67,11 @@ def main(argv: list[str] | None = None) -> int:
         print("ok")
         return EXIT_OK
 
-    if args.threads < 1:
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
         return _fail("--threads must be >= 1", EXIT_VALIDATION)
     try:
-        manifest = run(config, out_dir=args.out_dir, threads=args.threads)
+        manifest = run(config, out_dir=args.out_dir, threads=threads)
     except ValidationError as exc:
         for e in exc.errors:
             print(f"error: {e}", file=sys.stderr)

@@ -1,21 +1,26 @@
 """Config-driven experiment campaigns with reproducible manifests.
 
 A single JSON document describes one experiment (kind, model, integrand,
-levels, replicate budget, seed, output format); :func:`validate` reports every
-violated invariant at once and :func:`run` dispatches to the matching
-diagnostics routine, writes the output files and returns a manifest.  Rerunning
-with an identical config and seed reproduces the estimate files byte for byte;
-every output file carries the config hash.
+levels, replicate budget, seed, output format).  :func:`parse` turns it into
+the typed spec of its kind in one step: it builds the model and integrand,
+resolves every default and reports every violated invariant at once.
+:func:`validate` returns those violations and :func:`run` hands the spec to
+the kind's runner, writes the output files and returns a manifest, so the two
+accept exactly the same configs.  Rerunning with an identical config and seed
+reproduces the estimate files byte for byte; every output file carries the
+config hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,14 +29,11 @@ from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
                           breiman_ratio, double_jump_trend,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
-from .levy_sim import (IntegrandSpec, LevyModel, SimConfig,
-                       assemble_levy_path, batch_integral_functionals,
-                       integrand_from_dict, one_jump_integral,
-                       simulate_big_jumps, simulate_integrand,
+from .levy_sim import (ConstantIntegrand, LevyModel, SimConfig, assemble_levy_path,
+                       batch_integral_functionals, integrand_from_dict,
+                       one_jump_integral, simulate_big_jumps, simulate_integrand,
                        simulate_small_part, stochastic_integral)
 from .regvar import RegVarMeasure
-
-KINDS = ("tails", "breiman", "one-big-jump", "tail-equivalence", "lemma-checks", "paths")
 
 
 class ValidationError(ValueError):
@@ -62,137 +64,170 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Validation: report all violations at once, never partially run
+# The parse step: report all violations at once, never partially run
 # ---------------------------------------------------------------------------
 
-def _check_levels(cfg: dict, errors: list[str]) -> None:
-    levels = cfg.get("levels")
-    if (not isinstance(levels, list) or not levels
-            or any(not isinstance(u, (int, float)) or u <= 0 for u in levels)
-            or any(b <= a for a, b in zip(levels, levels[1:]))):
-        errors.append("levels must be a nonempty strictly increasing list of positive numbers")
+class _Invalid(Exception):
+    """A value breaks its key's invariant; the message follows the key name."""
 
 
-def _check_model(cfg: dict, errors: list[str]) -> Optional[LevyModel]:
-    obj = cfg.get("model")
+def _is_int(v) -> bool:
+    # 64 bits, so that no float conversion or array size downstream overflows
+    return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
+
+
+def _is_real(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _reader(ok: Callable[[object], bool], message: str,
+            convert: Callable = lambda v: v) -> Callable:
+    def read(v):
+        if not ok(v):
+            raise _Invalid(message)
+        return convert(v)
+    return read
+
+
+def _count(minimum: int) -> Callable:
+    return _reader(lambda v: _is_int(v) and v >= minimum, f"must be an integer >= {minimum}")
+
+
+def _real(ok: Callable[[float], bool], message: str) -> Callable:
+    return _reader(lambda v: _is_real(v) and ok(v), message, float)
+
+
+def _built(build: Callable[[dict], object]) -> Callable:
+    """Reader for a section that a library constructor parses; its keys are
+    those of the built object's own dict form."""
+    def read(v):
+        if not isinstance(v, dict):
+            raise _Invalid("must be a JSON object")
+        try:
+            built = build(v)
+        except KeyError as exc:
+            raise _Invalid(f"lacks key {exc}") from None
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise _Invalid(f"is invalid: {exc}") from None
+        unknown = sorted(set(v) - set(built.to_dict()))
+        if unknown:
+            raise _Invalid(f"has unknown key {', '.join(unknown)}")
+        return built
+    return read
+
+
+def _breiman_y(v) -> Callable:
+    if isinstance(v, dict) and len(v) == 2:
+        if v.get("kind") == "const" and _is_real(v.get("value")) and v["value"] > 0:
+            value = float(v["value"])
+            return lambda rng, size: np.full(size, value)
+        if v.get("kind") == "lognormal" and _is_real(v.get("sigma")) and v["sigma"] > 0:
+            sigma = float(v["sigma"])
+            return lambda rng, size: np.exp(sigma * rng.standard_normal(size))
+    raise _Invalid("must be {kind: const, value > 0} or {kind: lognormal, sigma > 0}")
+
+
+_POSITIVE = _real(lambda v: v > 0, "must be positive")
+
+# How each key is read, wherever it appears.
+_READERS: dict[str, Callable] = {
+    "kind": lambda v: v,  # parse checks it before choosing the schema
+    "seed": _reader(_is_int, "must be an integer"),
+    "format": _reader(lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
+    "model": _built(LevyModel.from_dict), "integrand": _built(integrand_from_dict),
+    "grid_size": _count(2), "n": _count(1), "n_mc_inner": _count(1),
+    "refinement": _count(0), "n_paths": _count(1), "epsilon": _POSITIVE,
+    "t": _real(lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    # kept as given: tails and breiman write each level verbatim
+    "levels": _reader(lambda v: isinstance(v, list) and v
+                      and all(_is_real(u) and u > 0 for u in v)
+                      and all(a < b for a, b in zip(v, v[1:])),
+                      "must be a nonempty strictly increasing list of positive numbers", tuple),
+    "y": _breiman_y, "alpha": _POSITIVE, "lam": _POSITIVE,
+    "beta": _real(lambda v: 0.5 < v < 1, "must lie in (1/2, 1)"), "x_level": _POSITIVE,
+    "n_values": _reader(lambda v: isinstance(v, list) and v
+                        and all(_is_int(k) and k >= 1 for k in v),
+                        "must be a nonempty list of integers >= 1", tuple),
+    "reps": _count(1), "n_trials": _count(1),
+}
+
+
+def _relations(schema: dict, v: dict) -> list[str]:
+    """Invariants tying keys together, checked on the keys that parsed."""
+    errors = []
+    model, integrand = v.get("model"), v.get("integrand")
+    if model is not None and integrand is not None:
+        dim = len(integrand.value) if isinstance(integrand, ConstantIntegrand) else 1
+        if dim != model.dimension:
+            errors.append(f"integrand dimension {dim} differs from model dimension "
+                          f"{model.dimension}")
+    if "t" in schema:  # the kinds that reduce the batch sampler's endpoint values
+        if model is not None and model.dimension != 1:
+            errors.append(f"{v['kind']} experiments support one-dimensional models only")
+        t, gs = v.get("t"), v.get("grid_size")
+        if t is not None and gs is not None:
+            k = round(t * gs)
+            if k < 1 or abs(k / gs - t) > 1e-12:
+                errors.append("t must be a multiple of 1/grid_size")
+    return errors
+
+
+def _read(schema: dict, obj, errors: list[str], where: str = "",
+          known: Optional[frozenset] = None) -> Optional[SimpleNamespace]:
+    """The spec ``schema`` reads from the mapping ``obj``, or None when a
+    violation was appended to ``errors``."""
     if not isinstance(obj, dict):
-        errors.append("model section is required")
+        errors.append(f"{where or 'config'} must be a JSON object")
         return None
-    try:
-        return LevyModel.from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"model: {exc}")
-        return None
+    prefix = f"{where}." if where else ""
+    before = len(errors)
+    values = {}
+    for key, default in schema.items():
+        raw = obj.get(key)
+        if raw is None:
+            if default is _REQUIRED or isinstance(default, dict):
+                errors.append(f"{prefix}{key} is required")
+            else:
+                values[key] = default
+        elif isinstance(default, dict):
+            values[key] = _read(default, raw, errors, prefix + key)
+        else:
+            try:
+                values[key] = _READERS[key](raw)
+            except _Invalid as exc:
+                errors.append(f"{prefix}{key} {exc}")
+    unknown = set(obj) - (known or set(schema))
+    errors.extend(f"unknown key {prefix}{key}" for key in sorted(unknown))
+    errors.extend(_relations(schema, values))
+    return SimpleNamespace(**values) if len(errors) == before else None
 
 
-def _check_integrand(cfg: dict, errors: list[str], required: bool = True) -> Optional[IntegrandSpec]:
-    obj = cfg.get("integrand")
-    if obj is None:
-        if required:
-            errors.append("integrand section is required")
-        return None
-    try:
-        return integrand_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"integrand: {exc}")
-        return None
+def parse(config: dict) -> SimpleNamespace:
+    """The parsed spec of ``config``: every key of its kind as a typed value,
+    defaults resolved.  Raises ValidationError with every violation.
 
-
-def _check_count(cfg: dict, key: str, errors: list[str], minimum: int = 1) -> None:
-    v = cfg.get(key)
-    if not isinstance(v, int) or v < minimum:
-        errors.append(f"{key} must be an integer >= {minimum}")
-
-
-def _check_t(cfg: dict, errors: list[str]) -> None:
-    t = cfg.get("t", 1.0)
-    if not isinstance(t, (int, float)) or not 0 < t <= 1:
-        errors.append("t must lie in (0, 1]")
+    Besides the keys of its own kind, a config may hold keys that another
+    kind reads (``bigjump paths`` runs any kind's config); those are ignored.
+    """
+    if not isinstance(config, dict):
+        raise ValidationError(["config must be a JSON object"])
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError([f"kind must be one of {', '.join(_KINDS)}"])
+    errors: list[str] = []
+    spec = _read(_KINDS[kind][0], config, errors, known=_TOP_LEVEL_KEYS)
+    if errors:
+        raise ValidationError(errors)
+    return spec
 
 
 def validate(config: dict) -> list[str]:
     """Full invariant check without running; returns every violation."""
-    errors: list[str] = []
-    kind = config.get("kind")
-    if kind not in KINDS:
-        errors.append(f"kind must be one of {', '.join(KINDS)}")
-        return errors
-    if not isinstance(config.get("seed"), int):
-        errors.append("seed must be an integer")
-    if config.get("format", "csv") not in ("csv", "json"):
-        errors.append("format must be 'csv' or 'json'")
-    gs = config.get("grid_size", 4096)
-    if not isinstance(gs, int) or gs < 2:
-        errors.append("grid_size must be an integer >= 2")
-
-    if kind == "tails":
-        model = _check_model(config, errors)
-        if model is not None and model.dimension != 1:
-            errors.append("tails experiments support one-dimensional models only")
-        _check_integrand(config, errors)
-        _check_levels(config, errors)
-        _check_count(config, "n", errors)
-        _check_t(config, errors)
-    elif kind == "breiman":
-        _check_levels(config, errors)
-        _check_count(config, "n", errors)
-        sec = config.get("breiman")
-        if not isinstance(sec, dict):
-            errors.append("breiman section is required")
-        else:
-            if not isinstance(sec.get("alpha"), (int, float)) or sec["alpha"] <= 0:
-                errors.append("breiman.alpha must be positive")
-            y = sec.get("y", {})
-            if y.get("kind") == "const":
-                if not isinstance(y.get("value"), (int, float)) or y["value"] <= 0:
-                    errors.append("breiman.y.value must be positive")
-            elif y.get("kind") == "lognormal":
-                if not isinstance(y.get("sigma"), (int, float)) or y["sigma"] <= 0:
-                    errors.append("breiman.y.sigma must be positive")
-            else:
-                errors.append("breiman.y.kind must be 'const' or 'lognormal'")
-    elif kind == "one-big-jump":
-        _check_model(config, errors)
-        _check_integrand(config, errors, required=False)
-        _check_levels(config, errors)
-        _check_count(config, "n", errors)
-        eps = config.get("epsilon")
-        if not isinstance(eps, (int, float)) or eps <= 0:
-            errors.append("epsilon must be positive")
-    elif kind == "tail-equivalence":
-        model = _check_model(config, errors)
-        if model is not None and model.dimension != 1:
-            errors.append("tail-equivalence experiments support one-dimensional models only")
-        _check_integrand(config, errors)
-        _check_levels(config, errors)
-        _check_count(config, "n", errors)
-        _check_t(config, errors)
-    elif kind == "lemma-checks":
-        sec = config.get("lemma_checks")
-        if not isinstance(sec, dict):
-            errors.append("lemma_checks section is required")
-        else:
-            beta = sec.get("beta", 0.75)
-            if not isinstance(beta, (int, float)) or not 0.5 < beta < 1.0:
-                errors.append("beta must lie in (1/2, 1)")
-            if not isinstance(sec.get("alpha"), (int, float)) or sec["alpha"] <= 0:
-                errors.append("lemma_checks.alpha must be positive")
-            if not isinstance(sec.get("lam"), (int, float)) or sec["lam"] <= 0:
-                errors.append("lemma_checks.lam must be positive")
-            nv = sec.get("n_values")
-            if (not isinstance(nv, list) or not nv
-                    or any(not isinstance(v, int) or v < 1 for v in nv)):
-                errors.append("lemma_checks.n_values must be a list of positive integers")
-            x = sec.get("x_level")
-            if not isinstance(x, (int, float)) or x <= 0:
-                errors.append("lemma_checks.x_level must be positive")
-            _check_count(sec, "reps", errors)
-            _check_count(sec, "n_trials", errors)
-    elif kind == "paths":
-        _check_model(config, errors)
-        _check_integrand(config, errors)
-        _check_count(config, "n_paths", errors)
-    return errors
+    try:
+        parse(config)
+    except ValidationError as exc:
+        return exc.errors
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +242,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(path: Path, digest: str, fmt: str, header: list[str],
-                rows: list[list], extra_comment: str = "") -> None:
+def _write_rows(out: Path, stem: str, digest: str, fmt: str, header: list[str],
+                rows: list[list], extra_comment: str = "") -> str:
+    """Write ``out/stem.fmt``; returns the file name."""
+    path = out / f"{stem}.{fmt}"
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write(f"# config_hash={digest}\n")
@@ -218,11 +255,11 @@ def _write_rows(path: Path, digest: str, fmt: str, header: list[str],
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     else:
-        doc = {"config_hash": digest, "columns": header,
-               "rows": [[None if v is None else v for v in row] for row in rows]}
+        doc = {"config_hash": digest, "columns": header, "rows": rows}
         if extra_comment:
             doc["note"] = extra_comment
         path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    return path.name
 
 
 def _ratio_rows(estimates: list[RatioEstimate]) -> list[list]:
@@ -230,58 +267,41 @@ def _ratio_rows(estimates: list[RatioEstimate]) -> list[list]:
             for e in estimates]
 
 
+_RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "n"]
+
+
 # ---------------------------------------------------------------------------
-# Experiment dispatch
+# Runners: (spec, out_dir, config hash, threads) -> output file names
 # ---------------------------------------------------------------------------
 
-def _run_tails(config: dict, out: Path, digest: str, fmt: str) -> list[str]:
-    model = LevyModel.from_dict(config["model"])
-    integrand = integrand_from_dict(config["integrand"])
-    t = float(config.get("t", 1.0))
-    n = config["n"]
-    seed = config["seed"]
-    gs = config.get("grid_size", 512)
-    endpoint, _ = batch_integral_functionals(model, integrand, t, n, seed, grid_size=gs)
-    measure = model.induced_measure()
-    inner = config.get("n_mc_inner", 2048)
+def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
+    endpoint, _ = batch_integral_functionals(spec.model, spec.integrand, spec.t, spec.n,
+                                             spec.seed, grid_size=spec.grid_size)
+    measure = spec.model.induced_measure()
     rows = []
-    for u in config["levels"]:
-        pred = analytic_prediction(measure, integrand, t, float(u), inner, seed, gs)
-        est = TailEstimate(float(u), n, int(np.count_nonzero(endpoint > u)))
+    for u in spec.levels:
+        pred = analytic_prediction(measure, spec.integrand, spec.t, float(u),
+                                   spec.n_mc_inner, spec.seed, spec.grid_size)
+        est = TailEstimate(float(u), spec.n, int(np.count_nonzero(endpoint > u)))
         ratio = est.p_hat / pred if pred > 0 else None
-        rows.append([u, pred, est.p_hat, est.stderr, est.hits, n, ratio])
-    path = out / "tails.csv" if fmt == "csv" else out / "tails.json"
-    _write_rows(path, digest, fmt,
-                ["u", "analytic", "p_hat", "stderr", "hits", "n", "ratio"], rows)
-    return [path.name]
+        rows.append([u, pred, est.p_hat, est.stderr, est.hits, spec.n, ratio])
+    return [_write_rows(out, "tails", digest, spec.format,
+                        ["u", "analytic", "p_hat", "stderr", "hits", "n", "ratio"], rows)]
 
 
-def _run_breiman(config: dict, out: Path, digest: str, fmt: str) -> list[str]:
-    sec = config["breiman"]
-    alpha = float(sec["alpha"])
-    y = sec["y"]
-    if y["kind"] == "const":
-        y_sampler = lambda rng, size: np.full(size, float(y["value"]))
-    else:
-        y_sampler = lambda rng, size: np.exp(float(y["sigma"]) * rng.standard_normal(size))
+def _run_breiman(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
+    alpha = spec.breiman.alpha
     x_sampler = lambda rng, size: (1.0 - rng.random(size)) ** (-1.0 / alpha)
-    ests = breiman_ratio(x_sampler, y_sampler, config["levels"], config["n"], config["seed"])
-    path = out / ("breiman.csv" if fmt == "csv" else "breiman.json")
-    _write_rows(path, digest, fmt,
-                ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "n"],
-                _ratio_rows(ests))
-    return [path.name]
+    ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed)
+    return [_write_rows(out, "breiman", digest, spec.format, _RATIO_HEADER,
+                        _ratio_rows(ests))]
 
 
-def _run_one_big_jump(config: dict, out: Path, digest: str, fmt: str,
+def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
                       threads: int) -> list[str]:
-    model = LevyModel.from_dict(config["model"])
-    integrand = (integrand_from_dict(config["integrand"])
-                 if config.get("integrand") is not None else None)
     sup_curve, jump_curve = one_big_jump_curve(
-        model, integrand, float(config["epsilon"]), config["levels"],
-        config["n"], config["seed"], grid_size=config.get("grid_size", 256),
-        refinement=config.get("refinement", 4), threads=threads)
+        spec.model, spec.integrand, spec.epsilon, spec.levels, spec.n, spec.seed,
+        grid_size=spec.grid_size, refinement=spec.refinement, threads=threads)
     names = []
     for curve in (sup_curve, jump_curve):
         rows = [[u, None if e is None else e.p_hat, None if e is None else e.stderr,
@@ -291,33 +311,24 @@ def _run_one_big_jump(config: dict, out: Path, digest: str, fmt: str,
         note = (f"conditioning={curve.conditioning} epsilon={curve.epsilon} "
                 f"slope={'' if slope is None else repr(slope)} "
                 f"nonincreasing_trend={'' if slope is None else str(slope <= 0).lower()}")
-        stem = f"one_big_jump_{curve.conditioning}"
-        path = out / (f"{stem}.csv" if fmt == "csv" else f"{stem}.json")
-        _write_rows(path, digest, fmt,
-                    ["u", "estimate", "stderr", "n_conditioning"], rows, note)
-        names.append(path.name)
+        names.append(_write_rows(out, f"one_big_jump_{curve.conditioning}", digest,
+                                 spec.format, ["u", "estimate", "stderr", "n_conditioning"],
+                                 rows, note))
     return names
 
 
-def _run_tail_equivalence(config: dict, out: Path, digest: str, fmt: str) -> list[str]:
-    model = LevyModel.from_dict(config["model"])
-    integrand = integrand_from_dict(config["integrand"])
-    ests = tail_equivalence(model, integrand, float(config.get("t", 1.0)),
-                            config["levels"], config["n"], config["seed"],
-                            grid_size=config.get("grid_size", 512))
-    path = out / ("tail_equivalence.csv" if fmt == "csv" else "tail_equivalence.json")
-    _write_rows(path, digest, fmt,
-                ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "n"],
-                _ratio_rows(ests))
-    return [path.name]
+def _run_tail_equivalence(spec: SimpleNamespace, out: Path, digest: str,
+                          threads: int) -> list[str]:
+    ests = tail_equivalence(spec.model, spec.integrand, spec.t, spec.levels, spec.n,
+                            spec.seed, grid_size=spec.grid_size)
+    return [_write_rows(out, "tail_equivalence", digest, spec.format, _RATIO_HEADER,
+                        _ratio_rows(ests))]
 
 
-def _run_lemma_checks(config: dict, out: Path, digest: str, fmt: str) -> list[str]:
-    sec = config["lemma_checks"]
-    alpha, lam = float(sec["alpha"]), float(sec["lam"])
-    seed = config["seed"]
-    names = []
-
+def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
+                      threads: int) -> list[str]:
+    sec = spec.lemma_checks
+    alpha, lam = sec.alpha, sec.lam
     z_sampler = lambda rng, shape: (1.0 - rng.random(shape)) ** (-1.0 / alpha)
     rows = []
     for label, y_builder in (
@@ -327,79 +338,71 @@ def _run_lemma_checks(config: dict, out: Path, digest: str, fmt: str) -> list[st
     ):
         lhs, rhs = maximal_product_bound(
             lambda rng, size: rng.poisson(lam, size), y_builder, z_sampler,
-            sec["n_trials"], float(sec["x_level"]), seed)
+            sec.n_trials, sec.x_level, spec.seed)
         margin = 3.0 * np.hypot(lhs.stderr, 2.0 * rhs.stderr)
         rows.append([label, lhs.u, lhs.p_hat, lhs.stderr, rhs.p_hat, rhs.stderr,
                      str(lhs.p_hat <= 2.0 * rhs.p_hat + margin).lower()])
-    path = out / ("max_product_bound.csv" if fmt == "csv" else "max_product_bound.json")
-    _write_rows(path, digest, fmt,
-                ["y_construction", "x", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
-                 "within_bound"], rows)
-    names.append(path.name)
+    bound = _write_rows(out, "max_product_bound", digest, spec.format,
+                        ["y_construction", "x", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
+                         "within_bound"], rows)
 
     measure = RegVarMeasure(alpha, lam, [([1.0], 1.0)])
-    trend = double_jump_trend(measure, lam, float(sec.get("beta", 0.75)),
-                              sec["n_values"], sec["reps"], seed)
+    trend = double_jump_trend(measure, lam, sec.beta, sec.n_values, sec.reps, spec.seed)
     rows = [[p.n, p.closed_form, p.mc_value, p.stderr] for p in trend]
-    path = out / ("double_jump_trend.csv" if fmt == "csv" else "double_jump_trend.json")
-    _write_rows(path, digest, fmt, ["n", "closed_form", "mc_value", "stderr"], rows)
-    names.append(path.name)
-    return names
+    return [bound, _write_rows(out, "double_jump_trend", digest, spec.format,
+                               ["n", "closed_form", "mc_value", "stderr"], rows)]
 
 
-def _run_paths(config: dict, out: Path, digest: str, fmt: str) -> list[str]:
-    model = LevyModel.from_dict(config["model"])
-    integrand = integrand_from_dict(config["integrand"])
-    gs = config.get("grid_size", 512)
-    seed = config["seed"]
+def _run_paths(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
     names = []
-    for rep in range(config["n_paths"]):
-        cfg = SimConfig(gs, seed, rep)
-        jumps = simulate_big_jumps(model, cfg)
-        x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
-        y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
+    for rep in range(spec.n_paths):
+        cfg = SimConfig(spec.grid_size, spec.seed, rep)
+        jumps = simulate_big_jumps(spec.model, cfg)
+        x = assemble_levy_path(simulate_small_part(spec.model, cfg), jumps)
+        y = simulate_integrand(spec.integrand, cfg, times=[j.time for j in jumps])
         w = stochastic_integral(y, x)
         wa = one_jump_integral(y, x)
-        grid = w.grid
-        cols = {"x": x, "y": y, "w": w, "w_approx": wa}
-        header = ["t"] + [f"{name}{k}" for name in cols for k in range(model.dimension)]
-        rows = []
-        vals = {name: p._sides_at(grid)[1] for name, p in cols.items()}
-        for i, t in enumerate(grid):
-            row = [float(t)]
-            for name in cols:
-                row.extend(float(v) for v in vals[name][i])
-            rows.append(row)
-        path = out / f"path_{rep:03d}.csv"
-        _write_rows(path, digest, "csv", header, rows)
-        names.append(path.name)
+        header = ["t"] + [f"{name}{k}" for name in ("x", "y", "w", "w_approx")
+                          for k in range(spec.model.dimension)]
+        rows = np.hstack([w.grid[:, None]] +
+                         [p._sides_at(w.grid)[1] for p in (x, y, w, wa)]).tolist()
+        names.append(_write_rows(out, f"path_{rep:03d}", digest, "csv", header, rows))
     return names
+
+
+# What each kind reads: key -> default, _REQUIRED, or a section's own schema.
+# An absent key and null both take the default.
+_REQUIRED = object()
+_COMMON = {"kind": _REQUIRED, "seed": _REQUIRED, "format": "csv"}
+_SIMULATION = {**_COMMON, "model": _REQUIRED, "integrand": _REQUIRED, "grid_size": 512}
+_TAIL_EQUIVALENCE = {**_SIMULATION, "levels": _REQUIRED, "n": _REQUIRED, "t": 1.0}
+
+# kind -> (schema, runner); error messages list the kinds in this order.
+_KINDS: dict[str, tuple[dict, Callable[..., list[str]]]] = {
+    "tails": ({**_TAIL_EQUIVALENCE, "n_mc_inner": 2048}, _run_tails),
+    "breiman": ({**_COMMON, "levels": _REQUIRED, "n": _REQUIRED,
+                 "breiman": {"alpha": _REQUIRED, "y": _REQUIRED}}, _run_breiman),
+    "one-big-jump": ({**_SIMULATION, "integrand": None, "grid_size": 256,
+                      "levels": _REQUIRED, "n": _REQUIRED, "epsilon": _REQUIRED,
+                      "refinement": 4}, _run_one_big_jump),
+    "tail-equivalence": (_TAIL_EQUIVALENCE, _run_tail_equivalence),
+    "lemma-checks": ({**_COMMON, "lemma_checks": {
+        "alpha": _REQUIRED, "lam": _REQUIRED, "beta": 0.75, "x_level": _REQUIRED,
+        "n_values": _REQUIRED, "reps": _REQUIRED, "n_trials": _REQUIRED}}, _run_lemma_checks),
+    "paths": ({**_SIMULATION, "n_paths": _REQUIRED}, _run_paths),
+}
+_TOP_LEVEL_KEYS = frozenset(key for schema, _ in _KINDS.values() for key in schema)
 
 
 def run(config: dict, out_dir: str | Path = ".", threads: int = 1) -> RunManifest:
-    """Validate, dispatch and write outputs plus a manifest.json."""
-    errors = validate(config)
-    if errors:
-        raise ValidationError(errors)
+    """Parse, dispatch and write outputs plus a manifest.json."""
+    spec = parse(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
-    fmt = config.get("format", "csv")
     start = time.perf_counter()
-    kind = config["kind"]
-    if kind == "tails":
-        outputs = _run_tails(config, out, digest, fmt)
-    elif kind == "breiman":
-        outputs = _run_breiman(config, out, digest, fmt)
-    elif kind == "one-big-jump":
-        outputs = _run_one_big_jump(config, out, digest, fmt, threads)
-    elif kind == "tail-equivalence":
-        outputs = _run_tail_equivalence(config, out, digest, fmt)
-    elif kind == "lemma-checks":
-        outputs = _run_lemma_checks(config, out, digest, fmt)
-    else:
-        outputs = _run_paths(config, out, digest, fmt)
-    manifest = RunManifest(digest, config["seed"], __version__,
+    outputs = _KINDS[spec.kind][1](spec, out, digest, threads)
+    manifest = RunManifest(digest, spec.seed, __version__,
                            time.perf_counter() - start, tuple(outputs))
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=1),
                                        encoding="utf-8")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -247,7 +246,7 @@ def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
         for s, w in measure.spectral:
             g += c * w * np.linalg.norm(values * s, axis=1) ** a
         return g * region.u ** (-a), 1.0
-    if isinstance(region, EndpointExceedance):
+    if isinstance(region, (EndpointExceedance, RadialCone)):
         for s, w in measure.spectral:
             scaled = values * s
             norms = np.linalg.norm(scaled, axis=1)
@@ -256,7 +255,9 @@ def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
                 for i in np.nonzero(ok)[0]:
                     ok[i] = region.predicate(scaled[i] / norms[i])
             g += c * w * np.where(ok, norms ** a, 0.0)
-        return g * region.u ** (-a), region.t
+        if isinstance(region, EndpointExceedance):
+            return g * region.u ** (-a), region.t
+        return g * region.r ** (-a), 1.0
     if isinstance(region, RunningSupExceedance):
         if values.shape[1] != 1:
             raise ValueError("running-sup exceedance is defined for one-dimensional paths")
@@ -267,16 +268,6 @@ def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
                 ok = np.zeros_like(ok)
             g += c * w * np.where(ok, np.abs(prod) ** a, 0.0)
         return g * region.u ** (-a), region.t
-    if isinstance(region, RadialCone):
-        for s, w in measure.spectral:
-            scaled = values * s
-            norms = np.linalg.norm(scaled, axis=1)
-            ok = norms > 0
-            if region.predicate is not None:
-                for i in np.nonzero(ok)[0]:
-                    ok[i] = region.predicate(scaled[i] / norms[i])
-            g += c * w * np.where(ok, norms ** a, 0.0)
-        return g * region.r ** (-a), 1.0
     raise ValueError(f"unsupported set descriptor: {type(region).__name__}")
 
 
@@ -297,8 +288,7 @@ def weighted_one_step_mass(measure: RegVarMeasure,
                            integrand_sampler: Callable[[np.random.Generator], object],
                            region: SetDescriptor,
                            n_mc: int,
-                           seed: int,
-                           threads: int = 1) -> Estimate:
+                           seed: int) -> Estimate:
     """Mass of ``region`` under the integrand-weighted one-step limit measure.
 
     One-step paths are scaled componentwise by an independent integrand path
@@ -306,15 +296,13 @@ def weighted_one_step_mass(measure: RegVarMeasure,
     return an object with ``grid`` (m,) and ``values`` (m, d) arrays, sampled
     on [0, 1]; every draw's inner cone mass is closed form and the step time is
     integrated out by trapezoid quadrature on the draw's grid, so the Monte
-    Carlo variance comes from the integrand alone.  Replicates use
-    deterministically derived sub-streams and chunk results merge by
-    associative accumulation, so the estimate is reproducible for any
-    ``threads``.
+    Carlo variance comes from the integrand alone.  Each chunk of replicates
+    draws from its own derived sub-stream and the chunk results merge in chunk
+    order, so the estimate is reproducible.
     """
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     chunk = 256
-    starts = list(range(0, n_mc, chunk))
 
     def run_chunk(c0: int) -> tuple[int, float, float]:
         # Welford accumulation: (count, mean, sum of squared deviations)
@@ -334,11 +322,7 @@ def weighted_one_step_mass(measure: RegVarMeasure,
             m2 += delta * (x - mean)
         return count, mean, m2
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, starts))
-    else:
-        parts = [run_chunk(c0) for c0 in starts]
+    parts = [run_chunk(c0) for c0 in range(0, n_mc, chunk)]
 
     n, mean, m2 = parts[0]
     for cn, cmean, cm2 in parts[1:]:

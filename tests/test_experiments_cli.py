@@ -27,6 +27,63 @@ def lemma_config(**over):
             "lemma_checks": sec}
 
 
+MODEL_2D = {"dimension": 2, "big_jump_intensity": 2.0, "radial_alpha": 1.2,
+            "spectral": [{"dir": [1.0, 0.0], "w": 0.5}, {"dir": [0.0, 1.0], "w": 0.5}],
+            "diffusion": [[0.1, 0.0], [0.0, 0.1]], "drift": [0.0, 0.0]}
+EXP_OU = {"variant": "exp_ou", "rate": 2.0, "vol": 0.3, "initial": 1.0}
+
+
+def obj_config(**over):
+    cfg = {"kind": "one-big-jump", "seed": 5, "n": 50, "epsilon": 0.1,
+           "levels": [2.0, 4.0], "grid_size": 32, "refinement": 2, "model": MODEL,
+           "integrand": None, "format": "csv"}
+    cfg.update(over)
+    return cfg
+
+
+def breiman_config(**over):
+    cfg = {"kind": "breiman", "seed": 1, "n": 1000, "levels": [2.0, 4.0],
+           "breiman": {"alpha": 2.0, "y": {"kind": "lognormal", "sigma": 0.5}}}
+    cfg.update(over)
+    return cfg
+
+
+VALID_CONFIGS = [
+    pytest.param(tails_config(n=200, levels=[5.0], n_mc_inner=8), id="tails"),
+    pytest.param(breiman_config(), id="breiman"),
+    pytest.param(obj_config(model=MODEL_2D), id="one-big-jump"),
+    pytest.param(tails_config(kind="tail-equivalence", n=200, integrand=EXP_OU),
+                 id="tail-equivalence"),
+    pytest.param(lemma_config(reps=1000, n_trials=1000), id="lemma-checks"),
+    pytest.param({"kind": "paths", "seed": 7, "n_paths": 1, "grid_size": 32,
+                  "model": MODEL, "integrand": UNIT_Y}, id="paths"),
+]
+
+BAD_CONFIGS = [
+    pytest.param(tails_config(model=dict(MODEL, dimension=2,
+                                         spectral=[{"dir": [1.0, 0.0], "w": 1.0}],
+                                         diffusion=[[0.0, 0.0], [0.0, 0.0]],
+                                         drift=[0.0, 0.0])),
+                 id="tails-2d-model"),
+    pytest.param(tails_config(t=0.3, grid_size=512), id="t-off-grid"),
+    pytest.param(tails_config(n_mc_inner=0), id="n-mc-inner-zero"),
+    pytest.param(tails_config(n_mc_inner="x"), id="n-mc-inner-string"),
+    pytest.param(obj_config(model=MODEL_2D, refinement="x"), id="refinement-string"),
+    pytest.param(tails_config(grid_szie=64), id="unknown-key"),
+    pytest.param(tails_config(model=dict(MODEL, difusion=[[0.5]])), id="unknown-model-key"),
+    pytest.param(breiman_config(breiman={"alpha": 2.0, "y": 3}), id="breiman-y-number"),
+    pytest.param([tails_config()], id="config-list"),
+    pytest.param(tails_config(n=True), id="bool-count"),
+    pytest.param(obj_config(model=MODEL_2D, integrand=EXP_OU), id="integrand-dimension"),
+    pytest.param(lemma_config(n_values=[100, "x"]), id="lemma-section-value"),
+    pytest.param(dict(lemma_config(), lemma_checks=[1]), id="section-list"),
+    pytest.param(tails_config(integrand=[1.0]), id="integrand-list"),
+    pytest.param(tails_config(model=dict(MODEL, spectral=[{"dir": 1.0, "w": 1.0}])),
+                 id="model-scalar-direction"),
+    pytest.param(obj_config(epsilon=float("nan")), id="epsilon-nan"),
+]
+
+
 class TestValidate:
     def test_valid_minimal(self):
         assert validate(tails_config()) == []
@@ -49,19 +106,26 @@ class TestValidate:
                                               "one-big-jump, tail-equivalence, "
                                               "lemma-checks, paths"]
 
-    def test_no_validation_drift(self, tmp_path):
-        # run must accept exactly the configs validate accepts
-        good = tails_config(n=200, levels=[5.0])
-        bad = tails_config(model=dict(MODEL, dimension=2,
-                                      spectral=[{"dir": [1.0, 0.0], "w": 1.0}],
-                                      diffusion=[[0.0, 0.0], [0.0, 0.0]],
-                                      drift=[0.0, 0.0]))
-        assert validate(good) == []
-        run(good, out_dir=tmp_path / "ok")
-        errs = validate(bad)
-        assert errs
-        with pytest.raises(ValidationError):
-            run(bad, out_dir=tmp_path / "bad")
+    @pytest.mark.parametrize("config", BAD_CONFIGS)
+    def test_no_validation_drift(self, config, tmp_path, capsys):
+        # run must reject exactly what validate rejects, with the same errors
+        errors = validate(config)
+        assert errors
+        with pytest.raises(ValidationError) as exc:
+            run(config, out_dir=tmp_path / "out")
+        assert exc.value.errors == errors
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 1
+        assert all(line.startswith("error: ")
+                   for line in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("config", VALID_CONFIGS)
+    def test_valid_config_runs(self, config, tmp_path):
+        assert validate(config) == []
+        manifest = run(config, out_dir=tmp_path)
+        assert manifest.outputs
+        assert all((tmp_path / name).exists() for name in manifest.outputs)
 
 
 class TestRun:
@@ -145,6 +209,16 @@ class TestCli:
         bad = self._write(tmp_path, lemma_config(beta=0.4))
         assert cli.main(["validate", bad]) == 1
         assert "beta must lie in (1/2, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["validate", "--threads", "2"],
+                                      ["validate", "--out-dir", "x"],
+                                      ["paths", "--threads", "2"]],
+                             ids=["validate-threads", "validate-out-dir", "paths-threads"])
+    def test_subcommand_rejects_flags_it_ignores(self, tmp_path, argv):
+        cfg = self._write(tmp_path, tails_config())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv[:1] + [cfg] + argv[1:])
+        assert exc.value.code == 2
 
     def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

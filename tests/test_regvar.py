@@ -169,14 +169,6 @@ class TestWeightedOneStepMass:
         shrink = a.stderr / c.stderr
         assert math.sqrt(10) / 2 < shrink < math.sqrt(10) * 2
 
-    def test_threaded_merge_matches_sequential(self):
-        m = two_sided()
-        est1 = weighted_one_step_mass(m, _const_sampler([2.0]), SupExceedance(2.0),
-                                      600, seed=3, threads=1)
-        est4 = weighted_one_step_mass(m, _const_sampler([2.0]), SupExceedance(2.0),
-                                      600, seed=3, threads=4)
-        assert est1 == est4
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             weighted_one_step_mass(two_sided(), _const_sampler([1.0]),
