@@ -21,10 +21,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import AUX_STREAM, substream
+from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, rekey,
+                   substream)
 from .cadlag import (CadlagPath, j1_within, one_step_approx, sup_norm,
                      uniform_distance)
-from .levy_sim import (IntegrandSpec, LevyModel, SimConfig,
+from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
+                       _draw_jumps, _gaussian_walk, _integrand_values,
                        assemble_levy_path, batch_integral_functionals,
                        one_jump_integral, simulate_big_jumps,
                        simulate_integrand, simulate_small_part,
@@ -221,6 +223,171 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
 # One-big-jump conditional distance curves
 # ---------------------------------------------------------------------------
 
+# Replicates per task of ``one_big_jump_curve``, and per screening sub-block
+# inside a task; small sub-blocks keep the padded arrays, and so peak memory,
+# small.
+_BLOCK = 1024
+_SCREEN_BLOCK = 64
+# Relative margin around a decision threshold inside which a screened value
+# is not trusted and the replicate is rebuilt exactly.  The screening values
+# agree with the exact ones to rounding (about 1e-13 relative to the path's
+# magnitude), so the margin leaves four orders of magnitude to spare.
+_MARGIN = 1e-9
+
+
+def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
+            reps: Sequence[int], grid_size: int) -> tuple[np.ndarray, ...]:
+    """Phase 1 of ``one_big_jump_curve``: the functionals of whole replicates
+    at once, without building paths.
+
+    Regenerates each replicate's jump, Gaussian and integrand draws from its
+    keyed streams (the same draws, in the same order, as the per-replicate
+    samplers), pads them to arrays of shape (replicates, grid_size + 1 + kmax)
+    on the merged grid and applies the samplers' transforms and the exact
+    integral to the arrays.  Padding repeats each replicate's value at time 1,
+    so it changes no maximum.  Returns, per replicate:
+
+    - ``s``: sup norm of W (right values and left limits);
+    - ``ja``: norm of the one-jump approximation's jump;
+    - ``udist``: uniform distance between W and its approximation;
+    - ``lower``: max of the endpoint gap and the sup-norm gap;
+    - ``scale``: ``s`` plus the norms of W's jumps, the magnitude the
+      rounding of the other values is relative to;
+    - ``irregular``: a jump time on the grid or two equal jump times, where
+      the exact path merges grid points and the draw count differs.
+    """
+    d, gs = model.dimension, grid_size
+    g = np.linspace(0.0, 1.0, gs + 1)
+    gen = substream(seed)
+    jts, jss, zgs, zys = [], [], [], []
+    for rep in reps:
+        jt, js = _draw_jumps(model, rekey(gen, seed, rep, JUMP_STREAM))
+        jts.append(jt)
+        jss.append(js)
+        zgs.append(rekey(gen, seed, rep, GAUSS_STREAM).standard_normal((gs, d)))
+        if isinstance(integrand, ExpOUIntegrand):
+            zys.append(rekey(gen, seed, rep, INTEGRAND_STREAM).standard_normal(gs + len(jt)))
+    B = len(jts)
+    k = np.array([len(t) for t in jts])
+    K = max(int(k.max()), 1)  # at least one (padded) jump column
+    M = gs + 1 + K
+    rows = np.arange(B)[:, None]
+    real = np.arange(K) < k[:, None]
+    jt = np.full((B, K), 2.0)  # padding sorts after time 1
+    jt[real] = np.concatenate(jts)
+    Z = np.zeros((B, K, d))
+    Z[real] = np.concatenate(jss)
+
+    # merged grid: ``take`` indexes [uniform grid | jump times] per position;
+    # the padded tail points at time 1
+    ju = np.searchsorted(g, jt)
+    irregular = np.any(real & (g[np.minimum(ju, gs)] == jt), axis=1) | \
+        np.any(real[:, 1:] & (np.diff(jt, axis=1) <= 0), axis=1)
+    times = np.hstack([np.broadcast_to(g, (B, gs + 1)), jt])
+    take = np.argsort(times, axis=1, kind="stable")
+    take = np.where(take > gs + k[:, None], gs, take)
+    G = np.take_along_axis(times, take, axis=1)
+    pos = np.where(real, ju + np.arange(K), M - 1)
+    count = np.cumsum(take > gs, axis=1)  # jumps at or before each merged time
+
+    # light part on the merged grid, interpolated at the jump times exactly
+    # as ``CadlagPath._sides_at`` does
+    S = _gaussian_walk(model, np.stack(zgs))
+    lo = np.minimum(ju, gs) - 1
+    frac = (jt - g[lo]) / (g[lo + 1] - g[lo])
+    at_jumps = S[rows, lo] + frac[..., None] * (S[rows, lo + 1] - S[rows, lo])
+    base = np.take_along_axis(np.concatenate([S, at_jumps], axis=1), take[..., None], axis=1)
+    cum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(Z, axis=1)], axis=1)
+    x = base + np.take_along_axis(cum, count[..., None], axis=1)
+
+    if integrand is None:
+        w, W = x, Z
+    else:
+        zy = None
+        if zys:
+            zy = np.zeros((B, M - 1))
+            zy[np.arange(M - 1) < (gs + k)[:, None]] = np.concatenate(zys)
+        y = _integrand_values(integrand, G, zy)
+        if y.shape[-1] != d:
+            raise ValueError(f"dimension mismatch: {y.shape[-1]} vs {d}")
+        # each step below repeats the exact path's floating-point operations
+        # (``stochastic_integral`` subtracts the jumps back out of X), so the
+        # screened values match it to the last bit in one dimension
+        xc = x - np.take_along_axis(cum, count[..., None], axis=1)
+        W = np.take_along_axis(y, pos[..., None], axis=1) * Z
+        inc = y[:, :-1] * np.diff(xc, axis=1)
+        riemann = np.concatenate([np.zeros((B, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+        wcum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(W, axis=1)], axis=1)
+        w = riemann + np.take_along_axis(wcum, count[..., None], axis=1)
+
+    # the approximation is the step A * 1[t >= tau*] at the first largest jump
+    # of X; A = 0 without jumps (the padded column then wins)
+    kstar = np.argmax(np.linalg.norm(Z, axis=2), axis=1)
+    A = W[np.arange(B), kstar]
+    after = np.arange(M) >= np.take_along_axis(pos, kstar[:, None], axis=1)
+    w_jump = np.take_along_axis(w, pos[..., None], axis=1)  # right values at jumps
+    s = np.maximum(np.linalg.norm(w, axis=2).max(axis=1),
+                   np.linalg.norm(w_jump - W, axis=2).max(axis=1))
+    ja = np.linalg.norm(A, axis=1)
+    # left limits differ from right values only at the jump positions, where
+    # the approximation's left limit is A exactly after tau*
+    udist = np.maximum(
+        np.linalg.norm(w - np.where(after[..., None], A[:, None], 0.0), axis=2).max(axis=1),
+        np.linalg.norm(w_jump - W - np.where((np.arange(K) > kstar[:, None])[..., None],
+                                             A[:, None], 0.0), axis=2).max(axis=1))
+    lower = np.maximum(np.linalg.norm(w[:, -1] - A, axis=1), np.abs(s - ja))
+    scale = s + np.linalg.norm(W, axis=2).sum(axis=1)
+    return s, ja, udist, lower, scale, irregular
+
+
+def _carry(levels: Sequence[float], epsilon: float, s, ja, udist, lower,
+           j1_exceeds: Optional[Callable[[int, np.ndarray], np.ndarray]] = None):
+    """Conditioning events and J1 indicators of replicates, per level.
+
+    Levels are visited from the largest down.  The distance of the
+    u-rescaled pair is nonincreasing in u, so a replicate that exceeded
+    epsilon at a larger conditioned level exceeds it here too; otherwise the
+    uniform distance decides "within" from above, the endpoint and sup-norm
+    gaps decide "exceeds" from below, and a replicate the bounds leave open is
+    passed to ``j1_exceeds(level_index, open_mask)``, which returns its
+    verdicts.  Without ``j1_exceeds`` such a replicate is only flagged.
+
+    Returns (cond_sup, cond_jump, exceeds), each of shape (levels,
+    replicates), and the mask of replicates left open at some level.
+    """
+    s, ja, udist, lower = (np.asarray(v, dtype=float) for v in (s, ja, udist, lower))
+    shape = (len(levels), len(s))
+    cond_sup, cond_jump, exceeds = (np.zeros(shape, dtype=bool) for _ in range(3))
+    exceeded = np.zeros(len(s), dtype=bool)
+    undecided = np.zeros(len(s), dtype=bool)
+    for i in range(len(levels) - 1, -1, -1):
+        u = levels[i]
+        cond_sup[i], cond_jump[i] = s > u, ja > u
+        active = cond_sup[i] | cond_jump[i]
+        ind = exceeded | ((udist > epsilon * u) & (lower > epsilon * u))
+        open_ = active & ~exceeded & (udist > epsilon * u) & (lower <= epsilon * u)
+        if open_.any():
+            undecided |= open_
+            if j1_exceeds is not None:
+                ind[open_] = j1_exceeds(i, open_)
+        exceeds[i] = active & ind
+        exceeded |= exceeds[i]
+    return cond_sup, cond_jump, exceeds, undecided
+
+
+def _near(value: np.ndarray, thresholds: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Replicates with a value within the screening margin of some threshold."""
+    return np.any(np.abs(value[:, None] - thresholds)
+                  <= _MARGIN * np.maximum(thresholds, scale[:, None]), axis=1)
+
+
+def _add_counts(counts: np.ndarray, cond_sup, cond_jump, exceeds, keep) -> None:
+    counts[0] += np.count_nonzero(cond_sup & keep, axis=1)
+    counts[1] += np.count_nonzero(cond_sup & exceeds & keep, axis=1)
+    counts[2] += np.count_nonzero(cond_jump & keep, axis=1)
+    counts[3] += np.count_nonzero(cond_jump & exceeds & keep, axis=1)
+
+
 def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
                        epsilon: float, levels: Sequence[float], n: int, seed: int,
                        grid_size: int = 256, refinement: int = 4,
@@ -240,62 +407,76 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
     cheap bounds (endpoint and sup-norm mismatches from below, the uniform
     distance from above), so the dynamic program only runs on the ambiguous
     band.  One replicate pool is shared across all levels.
+
+    Replicates run in two phases, in blocks of ``_BLOCK`` (one block per task
+    when ``threads`` > 1):
+
+    1. Screening (``_screen``): sub-blocks of ``_SCREEN_BLOCK`` replicates are
+       regenerated from their keyed streams and their sup norm, jump norm,
+       uniform distance and lower bound computed as arrays, with no path
+       objects.
+    2. Exact reconstruction: a replicate survives screening, and is rebuilt
+       from the same streams as ``CadlagPath`` objects with the J1 dynamic
+       program available, when (a) a screened value lies within the relative
+       margin ``_MARGIN`` of a threshold it is compared to (u for the norms,
+       epsilon * u for the distance bounds), (b) the bounds leave its
+       indicator open at some conditioned level, or (c) a jump time falls on
+       the grid or repeats.
+
+    Both phases feed the same descending-level carry (``_carry``), and the
+    decisions of a replicate that does not survive do not depend on rounding,
+    so the counts equal those of the exact per-replicate computation.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     levels = [float(u) for u in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] <= 0:
         raise ValueError("levels must be positive and strictly increasing")
+    thresholds = np.array(levels)
+
+    def exact(rep: int, counts: np.ndarray) -> None:
+        cfg = SimConfig(grid_size, seed, rep)
+        jumps = simulate_big_jumps(model, cfg)
+        x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+        if integrand is None:
+            w, wa = x, one_step_approx(x)
+        else:
+            y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
+            w = stochastic_integral(y, x)
+            wa = one_jump_integral(y, x)
+        s = sup_norm(w)
+        ja = float(np.linalg.norm(wa.jump_sizes[0])) if len(wa.jump_times) else 0.0
+        udist = uniform_distance(w, wa)
+        end_gap = float(np.linalg.norm(w.values[-1] - wa.values[-1]))
+        lower = max(end_gap, abs(s - sup_norm(wa)))
+
+        def j1_exceeds(i: int, open_: np.ndarray) -> np.ndarray:
+            u = levels[i]
+            return np.array([not j1_within(w.scaled(1.0 / u), wa.scaled(1.0 / u),
+                                           epsilon, refinement)])
+
+        flags = _carry(levels, epsilon, [s], [ja], [udist], [lower], j1_exceeds)[:3]
+        _add_counts(counts, *flags, True)
 
     def run_block(block: range) -> np.ndarray:
         # rows: [sup hits, sup exceed, jump hits, jump exceed] per level
         counts = np.zeros((4, len(levels)), dtype=np.int64)
-        for rep in block:
-            cfg = SimConfig(grid_size, seed, rep)
-            jumps = simulate_big_jumps(model, cfg)
-            x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
-            if integrand is None:
-                w, wa = x, one_step_approx(x)
-            else:
-                y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
-                w = stochastic_integral(y, x)
-                wa = one_jump_integral(y, x)
-            s = sup_norm(w)
-            ja = float(np.linalg.norm(wa.jump_sizes[0])) if len(wa.jump_times) else 0.0
-            udist = uniform_distance(w, wa)
-            end_gap = float(np.linalg.norm(w.values[-1] - wa.values[-1]))
-            sup_gap = abs(s - sup_norm(wa))
-            lower = max(end_gap, sup_gap)
-
-            state: Optional[bool] = None  # indicator at the previous (larger) level
-            for i in range(len(levels) - 1, -1, -1):
-                u = levels[i]
-                cond_sup = s > u
-                cond_jump = ja > u
-                if not (cond_sup or cond_jump):
-                    continue
-                if state is None or state is False:
-                    # distance of the u-rescaled pair is nonincreasing in u:
-                    # once within epsilon it stays within at larger levels
-                    if udist <= epsilon * u:
-                        ind = False
-                    elif lower > epsilon * u:
-                        ind = True
-                    else:
-                        ind = not j1_within(w.scaled(1.0 / u), wa.scaled(1.0 / u),
-                                            epsilon, refinement)
-                    state = ind
-                else:
-                    ind = True  # already exceeded at a larger level
-                if cond_sup:
-                    counts[0, i] += 1
-                    counts[1, i] += int(ind)
-                if cond_jump:
-                    counts[2, i] += 1
-                    counts[3, i] += int(ind)
+        for s0 in range(block.start, block.stop, _SCREEN_BLOCK):
+            reps = range(s0, min(s0 + _SCREEN_BLOCK, block.stop))
+            s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed, reps,
+                                                            grid_size)
+            cond_sup, cond_jump, exceeds, undecided = _carry(levels, epsilon,
+                                                             s, ja, udist, lower)
+            survive = (irregular | undecided
+                       | _near(s, thresholds, scale) | _near(ja, thresholds, scale)
+                       | _near(udist, epsilon * thresholds, scale)
+                       | _near(lower, epsilon * thresholds, scale))
+            _add_counts(counts, cond_sup, cond_jump, exceeds, ~survive)
+            for rep in np.asarray(reps)[survive]:
+                exact(int(rep), counts)
         return counts
 
-    blocks = [range(s0, min(s0 + 1024, n)) for s0 in range(0, n, 1024)]
+    blocks = [range(s0, min(s0 + _BLOCK, n)) for s0 in range(0, n, _BLOCK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_block, blocks))

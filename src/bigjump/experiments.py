@@ -366,7 +366,8 @@ def _run_paths(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
                           for k in range(spec.model.dimension)]
         rows = np.hstack([w.grid[:, None]] +
                          [p._sides_at(w.grid)[1] for p in (x, y, w, wa)]).tolist()
-        names.append(_write_rows(out, f"path_{rep:03d}", digest, "csv", header, rows))
+        names.append(_write_rows(out, f"path_{rep:03d}", digest, spec.format, header,
+                                 rows))
     return names
 
 

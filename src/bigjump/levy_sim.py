@@ -53,9 +53,9 @@ class LevyModel:
                  diffusion=None, drift=None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if big_jump_intensity <= 0:
+        if not big_jump_intensity > 0:
             raise ValueError("big_jump_intensity must be positive")
-        if radial_alpha <= 0:
+        if not radial_alpha > 0:
             raise ValueError("radial_alpha must be positive")
         measure = RegVarMeasure(radial_alpha, big_jump_intensity, spectral)
         if measure.dimension != dimension:
@@ -237,31 +237,74 @@ def integrand_from_json(text: str) -> IntegrandSpec:
 # Path simulation
 # ---------------------------------------------------------------------------
 
-def simulate_big_jumps(model: LevyModel, cfg: SimConfig) -> list[JumpRecord]:
-    """Compound Poisson big jumps: Poisson count, uniform times, Pareto radii,
-    spectral directions; bit-reproducible given (seed, replicate_index)."""
-    rng = substream(cfg.seed, cfg.replicate_index, JUMP_STREAM)
+def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate's big jumps from its jump stream: Poisson count, uniform
+    times, Pareto radii, spectral directions.  Returns sorted times (k,) and
+    sizes (k, d)."""
     n = int(rng.poisson(model.big_jump_intensity))
     if n == 0:
-        return []
+        return np.zeros(0), np.zeros((0, model.dimension))
     times = np.sort(1.0 - rng.random(n))
     radii = (1.0 - rng.random(n)) ** (-1.0 / model.radial_alpha)
     dirs = np.stack([s for s, _ in model.spectral])
     weights = np.array([w for _, w in model.spectral])
     idx = rng.choice(len(weights), size=n, p=weights)
-    sizes = radii[:, None] * dirs[idx]
+    return times, radii[:, None] * dirs[idx]
+
+
+def _gaussian_walk(model: LevyModel, z: np.ndarray) -> np.ndarray:
+    """Light part on the uniform grid from standard normals ``z`` of shape
+    (..., grid_size, d): values (..., grid_size + 1, d), starting at 0."""
+    gs, d = z.shape[-2:]
+    inc = model.drift / gs + z @ model.diffusion.T / math.sqrt(gs)
+    return np.concatenate([np.zeros(z.shape[:-2] + (1, d)), np.cumsum(inc, axis=-2)],
+                          axis=-2)
+
+
+def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Exact OU transitions along the last axis of ``grid`` driven by the
+    standard normals ``z`` (one per step), vectorized via the exp(rate * t)
+    integrating factor (exponents stay bounded on [0, 1])."""
+    h = np.diff(grid, axis=-1)
+    start = np.zeros(grid.shape[:-1] + (1,))
+    if rate == 0.0:
+        sd = vol * np.sqrt(h)
+        return np.concatenate([start, np.cumsum(sd * z, axis=-1)], axis=-1)
+    sd = vol * np.sqrt((1.0 - np.exp(-2.0 * rate * h)) / (2.0 * rate))
+    w = np.cumsum(np.exp(rate * grid[..., 1:]) * sd * z, axis=-1)
+    return np.concatenate([start, np.exp(-rate * grid[..., 1:]) * w], axis=-1)
+
+
+def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
+                      z: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integrand values (..., m, d) at the times ``grid`` (..., m); an exp-OU
+    integrand also needs its standard normals ``z`` (..., m - 1)."""
+    if isinstance(spec, ConstantIntegrand):
+        return np.tile(spec.value, grid.shape + (1,))
+    if isinstance(spec, DeterministicIntegrand):
+        values = np.asarray(spec.fn(grid.reshape(-1)), dtype=float)
+        if values.ndim == 1:
+            values = values[:, None]
+        if values.shape[0] != grid.size:
+            raise ValueError("deterministic integrand must return one value per time")
+        return values.reshape(grid.shape + values.shape[1:])
+    if isinstance(spec, ExpOUIntegrand):
+        u = _ou_exponent(spec.rate, spec.vol, grid, z)
+        return (spec.initial * np.exp(u))[..., None]
+    raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
+
+
+def simulate_big_jumps(model: LevyModel, cfg: SimConfig) -> list[JumpRecord]:
+    """Compound Poisson big jumps; bit-reproducible given (seed, replicate_index)."""
+    times, sizes = _draw_jumps(model, substream(cfg.seed, cfg.replicate_index, JUMP_STREAM))
     return [JumpRecord(float(t), z) for t, z in zip(times, sizes)]
 
 
 def simulate_small_part(model: LevyModel, cfg: SimConfig) -> CadlagPath:
     """Gaussian random walk with drift on the uniform grid; starts at 0."""
     rng = substream(cfg.seed, cfg.replicate_index, GAUSS_STREAM)
-    gs = cfg.grid_size
-    grid = np.linspace(0.0, 1.0, gs + 1)
-    z = rng.standard_normal((gs, model.dimension))
-    inc = model.drift / gs + z @ model.diffusion.T / math.sqrt(gs)
-    values = np.vstack([np.zeros(model.dimension), np.cumsum(inc, axis=0)])
-    return CadlagPath(grid, values)
+    z = rng.standard_normal((cfg.grid_size, model.dimension))
+    return CadlagPath(np.linspace(0.0, 1.0, cfg.grid_size + 1), _gaussian_walk(model, z))
 
 
 def assemble_levy_path(small: CadlagPath, jumps: Sequence[JumpRecord]) -> CadlagPath:
@@ -285,20 +328,6 @@ def simulate_levy_path(model: LevyModel, cfg: SimConfig) -> tuple[CadlagPath, li
     return assemble_levy_path(simulate_small_part(model, cfg), jumps), jumps
 
 
-def _ou_exponent(rate: float, vol: float, grid: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Exact OU transitions on an arbitrary grid, vectorized via the
-    exp(rate * t) integrating factor (exponents stay bounded on [0, 1])."""
-    h = np.diff(grid)
-    z = rng.standard_normal(len(h))
-    if rate == 0.0:
-        sd = vol * np.sqrt(h)
-        return np.concatenate([[0.0], np.cumsum(sd * z)])
-    sd = vol * np.sqrt((1.0 - np.exp(-2.0 * rate * h)) / (2.0 * rate))
-    w = np.cumsum(np.exp(rate * grid[1:]) * sd * z)
-    return np.concatenate([[0.0], np.exp(-rate * grid[1:]) * w])
-
-
 def simulate_integrand(spec: IntegrandSpec, cfg: SimConfig,
                        times: Optional[Sequence[float]] = None) -> CadlagPath:
     """Sample an integrand path on the uniform grid (plus optional extra
@@ -309,21 +338,11 @@ def simulate_integrand(spec: IntegrandSpec, cfg: SimConfig,
         grid = np.union1d(grid, np.asarray(times, dtype=float))
         if grid[0] < 0 or grid[-1] > 1:
             raise ValueError("extra sample times must lie in [0, 1]")
-    if isinstance(spec, ConstantIntegrand):
-        values = np.tile(spec.value, (len(grid), 1))
-    elif isinstance(spec, DeterministicIntegrand):
-        values = np.asarray(spec.fn(grid), dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != len(grid):
-            raise ValueError("deterministic integrand must return one value per time")
-    elif isinstance(spec, ExpOUIntegrand):
+    z = None
+    if isinstance(spec, ExpOUIntegrand):
         rng = substream(cfg.seed, cfg.replicate_index, INTEGRAND_STREAM)
-        u = _ou_exponent(spec.rate, spec.vol, grid, rng)
-        values = (spec.initial * np.exp(u))[:, None]
-    else:
-        raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
-    return CadlagPath(grid, values, caglad=True)
+        z = rng.standard_normal(len(grid) - 1)
+    return CadlagPath(grid, _integrand_values(spec, grid, z), caglad=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bigjump import diagnostics, levy_sim
+from bigjump.cadlag import j1_within, one_step_approx, sup_norm, uniform_distance
 from bigjump.diagnostics import (TailEstimate, analytic_prediction, breiman_ratio,
                                  double_jump_trend, hill, maximal_product_bound,
                                  one_big_jump_curve, tail_equivalence, tail_prob)
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
-                              ExpOUIntegrand, LevyModel)
+                              ExpOUIntegrand, LevyModel, SimConfig,
+                              assemble_levy_path, one_jump_integral,
+                              simulate_big_jumps, simulate_integrand,
+                              simulate_small_part, stochastic_integral)
 from bigjump.regvar import RegVarMeasure
 
 
@@ -157,6 +162,157 @@ class TestOneBigJumpCurve:
         for c in (sup_c, jump_c):
             e = c.estimates[0]
             assert e is None or e.hits == 0
+
+
+OU_MODEL = LevyModel(1, 1.0, 1.2, [([1.0], 1.0)], diffusion=[[0.1]])
+MIXED_MODEL = LevyModel(1, 2.0, 1.5, [([1.0], 0.7), ([-1.0], 0.3)],
+                        diffusion=[[0.5]], drift=[0.3])
+AXES_2D = LevyModel(2, 2.0, 1.2, [([1.0, 0.0], 0.25), ([-1.0, 0.0], 0.25),
+                                  ([0.0, 1.0], 0.25), ([0.0, -1.0], 0.25)],
+                    diffusion=[[0.1, 0.0], [0.0, 0.1]])
+
+SCREEN_CASES = [
+    pytest.param(OU_MODEL, ExpOUIntegrand(2.0, 0.25, 1.0), 128, id="exp-ou"),
+    pytest.param(MIXED_MODEL, ConstantIntegrand([2.0]), 32, id="constant"),
+    pytest.param(MIXED_MODEL, DeterministicIntegrand.exponential(1.0, -1.0), 50,
+                 id="deterministic"),
+    pytest.param(AXES_2D, None, 64, id="raw-2d"),
+]
+
+
+def exact_pair(model, integrand, seed, rep, grid_size):
+    """W and its one-jump approximation from the per-replicate samplers."""
+    cfg = SimConfig(grid_size, seed, rep)
+    jumps = simulate_big_jumps(model, cfg)
+    x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+    if integrand is None:
+        return x, one_step_approx(x)
+    y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
+    return stochastic_integral(y, x), one_jump_integral(y, x)
+
+
+def exact_functionals(w, wa):
+    s = sup_norm(w)
+    ja = float(np.linalg.norm(wa.jump_sizes[0])) if len(wa.jump_times) else 0.0
+    end_gap = float(np.linalg.norm(w.values[-1] - wa.values[-1]))
+    return s, ja, uniform_distance(w, wa), max(end_gap, abs(s - sup_norm(wa)))
+
+
+def reference_counts(model, integrand, epsilon, levels, n, seed, grid_size, refinement):
+    """The estimator's counts, one replicate at a time on CadlagPath objects,
+    and the number of J1 dynamic programs run."""
+    counts = np.zeros((4, len(levels)), dtype=np.int64)
+    dp_calls = 0
+    for rep in range(n):
+        w, wa = exact_pair(model, integrand, seed, rep, grid_size)
+        s, ja, udist, lower = exact_functionals(w, wa)
+        exceeded = False
+        for i in range(len(levels) - 1, -1, -1):
+            u = levels[i]
+            if not (s > u or ja > u):
+                continue
+            if not exceeded:
+                if udist <= epsilon * u:
+                    exceeded = False
+                elif lower > epsilon * u:
+                    exceeded = True
+                else:
+                    dp_calls += 1
+                    exceeded = not j1_within(w.scaled(1 / u), wa.scaled(1 / u), epsilon,
+                                             refinement)
+            counts[:, i] += [s > u, s > u and exceeded, ja > u, ja > u and exceeded]
+    return counts.tolist(), dp_calls
+
+
+def curve_counts(curves):
+    """Rows: sup conditioned, sup exceeding, jump conditioned, jump exceeding."""
+    return [[0 if e is None else getattr(e, field) for e in c.estimates]
+            for c in curves for field in ("n", "hits")]
+
+
+class TestTwoPhaseScreening:
+    @pytest.mark.parametrize("model, integrand, grid_size", SCREEN_CASES)
+    def test_screened_functionals_match_paths(self, model, integrand, grid_size):
+        reps = range(300)
+        s, ja, udist, lower, scale, irregular = diagnostics._screen(
+            model, integrand, 21, reps, grid_size)
+        want = np.array([exact_functionals(*exact_pair(model, integrand, 21, r, grid_size))
+                         for r in reps])
+        for got, col in zip((s, ja, udist, lower), want.T):
+            np.testing.assert_allclose(got, col, rtol=1e-12, atol=0.0)
+        assert np.all(scale >= s) and not irregular.any()
+        assert np.count_nonzero(ja) > 100  # most replicates jump
+
+    CURVE_CASES = [
+        pytest.param(OU_MODEL, ExpOUIntegrand(2.0, 0.25, 1.0), 0.1, [1.0, 2.0, 4.0, 8.0],
+                     id="exp-ou"),
+        pytest.param(MIXED_MODEL, ConstantIntegrand([2.0]), 0.05, [1.0, 2.0, 4.0],
+                     id="constant"),
+        pytest.param(AXES_2D, None, 0.1, [1.0, 2.0, 4.0], id="raw-2d"),
+    ]
+
+    @pytest.mark.parametrize("model, integrand, epsilon, levels", CURVE_CASES)
+    @pytest.mark.parametrize("mode", ["screened", "all-survive", "threads"])
+    def test_curves_match_reference_loop(self, monkeypatch, model, integrand, epsilon,
+                                         levels, mode):
+        n, seed, grid_size, refinement = 250, 17, 32, 2
+        rebuilt, dp_calls = [], []
+
+        def counting(m, cfg):
+            rebuilt.append(cfg.replicate_index)
+            return simulate_big_jumps(m, cfg)
+
+        def counting_j1(*args):
+            dp_calls.append(1)
+            return j1_within(*args)
+
+        monkeypatch.setattr(diagnostics, "simulate_big_jumps", counting)
+        monkeypatch.setattr(diagnostics, "j1_within", counting_j1)
+        if mode == "all-survive":
+            monkeypatch.setattr(diagnostics, "_MARGIN", 1e9)
+        if mode == "threads":
+            # several blocks, with sub-blocks that do not divide them
+            monkeypatch.setattr(diagnostics, "_BLOCK", 96)
+            monkeypatch.setattr(diagnostics, "_SCREEN_BLOCK", 40)
+        curves = one_big_jump_curve(model, integrand, epsilon, levels, n, seed,
+                                    grid_size=grid_size, refinement=refinement,
+                                    threads=2 if mode == "threads" else 1)
+        want, want_dp = reference_counts(model, integrand, epsilon, levels, n, seed,
+                                         grid_size, refinement)
+        assert curve_counts(curves) == want
+        # the dynamic program runs on exactly the replicates and levels it did
+        # without screening
+        assert len(dp_calls) == want_dp > 0
+        if mode == "all-survive":
+            assert sorted(rebuilt) == list(range(n))
+        else:
+            assert len(rebuilt) < n // 5
+
+    def test_jump_on_grid_is_rebuilt(self, monkeypatch):
+        # snapping each replicate's last jump time up to the grid makes the
+        # exact path merge a grid point, so screening must hand it over
+        grid_size = 32
+        draw = levy_sim._draw_jumps
+
+        def snapped(model, rng):
+            times, sizes = draw(model, rng)
+            if len(times):
+                times[-1] = math.ceil(times[-1] * grid_size) / grid_size
+            return times, sizes
+
+        monkeypatch.setattr(levy_sim, "_draw_jumps", snapped)
+        monkeypatch.setattr(diagnostics, "_draw_jumps", snapped)
+        irregular = diagnostics._screen(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 4,
+                                        range(100), grid_size)[-1]
+        with_jumps = [len(simulate_big_jumps(MIXED_MODEL, SimConfig(grid_size, 4, r))) > 0
+                      for r in range(100)]
+        assert irregular.tolist() == with_jumps
+        curves = one_big_jump_curve(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
+                                    [1.0, 2.0, 4.0], 100, 4, grid_size=grid_size,
+                                    refinement=2)
+        want, _ = reference_counts(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
+                                   [1.0, 2.0, 4.0], 100, 4, grid_size, 2)
+        assert curve_counts(curves) == want
 
 
 class TestAnalyticPrediction:

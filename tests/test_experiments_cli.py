@@ -81,6 +81,9 @@ BAD_CONFIGS = [
     pytest.param(tails_config(model=dict(MODEL, spectral=[{"dir": 1.0, "w": 1.0}])),
                  id="model-scalar-direction"),
     pytest.param(obj_config(epsilon=float("nan")), id="epsilon-nan"),
+    pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=float("nan"))),
+                 id="intensity-nan"),
+    pytest.param(obj_config(model=dict(MODEL, radial_alpha=float("nan"))), id="alpha-nan"),
 ]
 
 
@@ -187,6 +190,15 @@ class TestRun:
         for name in ("path_000.csv", "path_001.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+    def test_paths_json_format(self, tmp_path):
+        cfg = {"kind": "paths", "seed": 7, "n_paths": 1, "grid_size": 32,
+               "model": MODEL, "integrand": UNIT_Y, "format": "json"}
+        manifest = run(cfg, out_dir=tmp_path)
+        assert list(manifest.outputs) == ["path_000.json"]
+        doc = json.loads((tmp_path / "path_000.json").read_text())
+        assert doc["columns"] == ["t", "x0", "y0", "w0", "w_approx0"]
+        assert len(doc["rows"]) >= 33
 
 
 class TestCli:
