@@ -15,11 +15,20 @@ degenerate limits where a stretch of one time axis is compressed to a point.
 The restriction makes the search a finite dynamic program that is exact on
 pairs of step functions and an upper bound, never exceeding the uniform
 distance, in general.
+
+The program fills the anchor pairs row by row.  All affine stretches into a
+row are costed in one batched numpy pass: each feasible source gathers only
+the grid points inside its stretch, warped with the same floating-point
+expressions a single stretch uses, so every cost is exact.  Sweep costs come
+from tables built once per call.  ``j1_distance`` is exact for the chain
+family; ``j1_within`` prunes at its threshold, treating any partial cost above
+it as infinite, and its verdict equals ``j1_distance(x, y) <= eps``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -114,28 +123,44 @@ class CadlagPath:
 
     # -- evaluation ----------------------------------------------------------
 
+    @functools.cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Length of each grid interval and the rise across it, from the
+        right value at its start to the left limit at its end."""
+        return np.diff(self.grid), self._left[1:] - self.values[:-1]
+
     def _sides_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left limits and right values at arbitrary times, vectorized."""
+        """Left limits and right values at arbitrary times, vectorized.
+
+        Off the grid both sides are the same interpolated value, and the two
+        returned arrays may then be one read-only array.
+        """
         t = np.atleast_1d(np.asarray(times, dtype=float))
         g, V, L = self.grid, self.values, self._left
+        span, rise = self._segments
         m = len(g)
-        idx = np.searchsorted(g, t, side="right")
-        idx = np.minimum(np.maximum(idx - 1, 0), m - 1)
+        idx = np.searchsorted(g, t, side="right") - 1
+        np.clip(idx, 0, m - 1, out=idx)
+        k = np.minimum(idx, m - 2)
+        inner = V[k] + ((t - g[k]) / span[k])[:, None] * rise[k]
+        last = idx == m - 1
+        if last.any():  # at or past time 1 the interpolation stops
+            inner[last] = V[m - 1] + 0.0 * (L[m - 1] - V[m - 1])
         exact = g[idx] == t
-        nxt = np.minimum(idx + 1, m - 1)
-        span = g[nxt] - g[idx]
-        frac = np.where(span > 0, (t - g[idx]) / np.where(span > 0, span, 1.0), 0.0)
-        interior = V[idx] + frac[:, None] * (L[nxt] - V[idx])
-        right = np.where(exact[:, None], V[idx], interior)
-        left = np.where(exact[:, None], L[idx], interior)
-        return left, right
+        if not exact.any():
+            inner.flags.writeable = False
+            return inner, inner
+        right = inner.copy()
+        right[exact] = V[idx[exact]]
+        inner[exact] = L[idx[exact]]
+        return inner, right
 
     def value_at(self, time: float) -> np.ndarray:
         """Right-continuous value at ``time``."""
-        return self._sides_at(np.array([time]))[1][0]
+        return self._sides_at(np.array([time]))[1][0].copy()
 
     def left_limit_at(self, time: float) -> np.ndarray:
-        return self._sides_at(np.array([time]))[0][0]
+        return self._sides_at(np.array([time]))[0][0].copy()
 
     # -- algebra -------------------------------------------------------------
 
@@ -297,6 +322,7 @@ class TimeChange:
         return float(np.abs(self.images - self.breakpoints).max())
 
 
+@functools.lru_cache(maxsize=32)
 def _dyadic_points(count: int) -> np.ndarray:
     """First ``count`` points of the dyadic enumeration 1/2, 1/4, 3/4, 1/8, ..."""
     pts: list[float] = []
@@ -304,12 +330,116 @@ def _dyadic_points(count: int) -> np.ndarray:
     while len(pts) < count:
         pts.extend(k / level for k in range(1, level, 2))
         level *= 2
-    return np.array(pts[:count])
+    out = np.array(pts[:count], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
-def _interior_slice(grid: np.ndarray, a: float, b: float) -> slice:
-    return slice(int(np.searchsorted(grid, a, side="right")),
-                 int(np.searchsorted(grid, b, side="left")))
+# Most grid points gathered into one batch of the dynamic program; a single
+# stretch longer than this gets a batch of its own.
+_BATCH_POINTS = 1 << 14
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, rounded as ``np.linalg.norm(a, axis=-1)``
+    rounds it.
+
+    numpy adds fewer than eight squares in order, so short vectors take an
+    explicit running sum, which is far faster than a reduction along a short
+    axis.
+    """
+    sq = a * a
+    if sq.shape[-1] >= 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    total = sq[..., 0].copy()
+    for k in range(1, sq.shape[-1]):
+        total += sq[..., k]
+    return np.sqrt(total)
+
+
+def _dot_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, rounded as ``np.linalg.norm`` rounds
+    a single vector (a BLAS dot product, which may differ from ``_norm`` in
+    the last bit)."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over the pairs of ``starts`` and ``counts``."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+
+
+def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Maximum of each consecutive run of ``counts`` values; 0 for an empty run."""
+    out = np.zeros(len(counts))
+    full = counts > 0
+    if full.any():
+        out[full] = np.maximum.reduceat(values, (np.cumsum(counts) - counts)[full])
+    return out
+
+
+def _sweep_table(fixed: np.ndarray, path: CadlagPath, anchors: np.ndarray,
+                 right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Costs of holding one time axis at an anchor while the other sweeps.
+
+    Entry ``[k, j]`` is sup |fixed[k] - path(v)| over v in [a_j, a_{j+1}],
+    with the right value ``right[j]`` at a_j, the left limit ``left[j + 1]``
+    at a_{j+1} and both sides at the grid points strictly between.
+    """
+    ends = np.maximum(_dot_norm(fixed[:, None, :] - right[None, :-1, :]),
+                      _dot_norm(fixed[:, None, :] - left[None, 1:, :]))
+    g = path.grid
+    inner = np.flatnonzero(~np.isin(g, anchors))
+    if len(inner) == 0:
+        return ends
+    seg = np.searchsorted(anchors, g[inner]) - 1
+    runs = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    pl, pv = path._left[inner], path.values[inner]
+    cols = seg[runs]
+    rows = max(1, _BATCH_POINTS // len(inner))
+    for k in range(0, len(fixed), rows):
+        f = fixed[k:k + rows, None, :]
+        c = np.maximum(_norm(pl[None] - f), _norm(pv[None] - f))
+        ends[k:k + rows, cols] = np.maximum(ends[k:k + rows, cols],
+                                            np.maximum.reduceat(c, runs, axis=1))
+    return ends
+
+
+def _stretch_costs(x: CadlagPath, y: CadlagPath, anchors: np.ndarray,
+                   bounds: tuple[np.ndarray, ...], i0: np.ndarray, j0: np.ndarray,
+                   i: int, j: np.ndarray) -> np.ndarray:
+    """Sup distance along the affine stretches (p_i0, q_j0) -> (p_i, q_j).
+
+    Only grid points strictly inside a stretch count: those of x are sent to
+    y's time axis and those of y to x's, with the floating-point expressions
+    of a single stretch, so every cost is exact.  Each stretch gathers only
+    its own points, in batches of about ``_BATCH_POINTS`` points.
+    """
+    xlo, xhi, ylo, yhi = bounds
+    p0, q0 = anchors[i0], anchors[j0]
+    slope = (anchors[j] - q0) / (anchors[i] - p0)
+    nx = xhi[i] - xlo[i0]
+    ny = yhi[j] - ylo[j0]
+    total = np.cumsum(nx + ny)
+    out = np.empty(len(i0))
+    a = 0
+    while a < len(i0):
+        before = total[a] - nx[a] - ny[a]
+        b = max(a + 1, int(np.searchsorted(total, before + _BATCH_POINTS, side="right")))
+        s, n = slice(a, b), nx[a:b]
+        idx = _ragged_arange(xlo[i0[s]], n)
+        yl, yr = y._sides_at(np.repeat(q0[s], n)
+                             + (x.grid[idx] - np.repeat(p0[s], n)) * np.repeat(slope[s], n))
+        cost = _segment_max(np.maximum(_norm(x._left[idx] - yl), _norm(x.values[idx] - yr)), n)
+        n = ny[a:b]
+        idx = _ragged_arange(ylo[j0[s]], n)
+        xl, xr = x._sides_at(np.repeat(p0[s], n)
+                             + (y.grid[idx] - np.repeat(q0[s], n)) / np.repeat(slope[s], n))
+        out[s] = np.maximum(cost, _segment_max(
+            np.maximum(_norm(xl - y._left[idx]), _norm(xr - y.values[idx])), n))
+        a = b
+    return out
 
 
 def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
@@ -319,107 +449,101 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
     Chains of matched time pairs over the anchor set (endpoints, both jump
     sets, dyadic refinement points), each anchor pair carrying a left/right
     side, connected by affine stretches, axis-parallel sweeps and diagonal
-    jump crossings.  With ``cutoff`` set, anchor pairs and partial chains
-    exceeding it are pruned and the returned value may be inf.
+    jump crossings.  ``fL[i][j]`` and ``fR[i][j]`` are the cheapest chains
+    arriving at the left and right side of the anchor pair (p_i, q_j).
+
+    Rows i are filled in order.  Every affine stretch into row i leaves the
+    right side of a pair in an earlier row, so all of them are costed in one
+    batched pass per row (``_stretch_costs``), over the feasible sources of
+    each target (i, j): the (i0 < i, j0 < j) with ``fR[i0][j0]`` within the
+    cutoff and below what the target already holds.  A scalar pass along the
+    row then adds the diagonal crossings and the sweeps, whose costs come from
+    four tables (``_sweep_table``) built once per call.
+
+    Without ``cutoff`` the value is exact for the chain family.  With it, an
+    entry above the cutoff counts as infinite and may hold any value above
+    it: no crossing, sweep or stretch leaves such an entry and no ``fR`` entry
+    holds one, so the result is exact when it is at most the cutoff and above
+    the cutoff (possibly inf) otherwise.
     """
     anchors = np.unique(np.concatenate([
-        np.array([0.0, 1.0]), x.jump_times, y.jump_times,
-        _dyadic_points(refinement) if refinement > 0 else _EMPTY,
-    ]))
+        np.array([0.0, 1.0]), x.jump_times, y.jump_times, _dyadic_points(refinement)]))
     K = len(anchors)
     XL, XR = x._sides_at(anchors)
     YL, YR = y._sides_at(anchors)
     tdist = np.abs(anchors[None, :] - anchors[:, None])  # tdist[i, j] = |q_j - p_i|
-    nodeL = np.maximum(tdist, np.linalg.norm(XL[:, None, :] - YL[None, :, :], axis=2))
-    nodeR = np.maximum(tdist, np.linalg.norm(XR[:, None, :] - YR[None, :, :], axis=2))
-    big = np.inf
-    lim = big if cutoff is None else cutoff
+    nodeL = np.maximum(tdist, _norm(XL[:, None, :] - YL[None, :, :]))
+    nodeR = np.maximum(tdist, _norm(XR[:, None, :] - YR[None, :, :]))
+    inf = float("inf")
+    lim = inf if cutoff is None else cutoff
+    if nodeR[0, 0] > lim:
+        return float(nodeR[0, 0])
 
-    gx, gy = x.grid, y.grid
-
-    def seg_cost(i: int, j: int, k: int, l: int) -> float:
-        """Affine stretch (p_i, q_j) -> (p_k, q_l); interior events only."""
-        p0, q0, p1, q1 = anchors[i], anchors[j], anchors[k], anchors[l]
-        slope = (q1 - q0) / (p1 - p0)
-        cost = 0.0
-        sl = _interior_slice(gx, p0, p1)
-        if sl.stop > sl.start:
-            ts = gx[sl]
-            yl, yr = y._sides_at(q0 + (ts - p0) * slope)
-            c = np.maximum(np.linalg.norm(x._left[sl] - yl, axis=1),
-                           np.linalg.norm(x.values[sl] - yr, axis=1))
-            cost = float(c.max())
-            if cost > lim:
-                return cost
-        sl = _interior_slice(gy, q0, q1)
-        if sl.stop > sl.start:
-            vs = gy[sl]
-            xl, xr = x._sides_at(p0 + (vs - q0) / slope)
-            c = np.maximum(np.linalg.norm(xl - y._left[sl], axis=1),
-                           np.linalg.norm(xr - y.values[sl], axis=1))
-            cost = max(cost, float(c.max()))
-        return cost
-
-    def sweep_cost(fixed_value: np.ndarray, path: CadlagPath, a: float, b: float) -> float:
-        """sup |fixed - path(v)| over v in [a, b], right value at a, left at b."""
-        sl = _interior_slice(path.grid, a, b)
-        ra = path._sides_at(np.array([a]))[1]
-        lb = path._sides_at(np.array([b]))[0]
-        cost = max(float(np.linalg.norm(fixed_value - ra[0])),
-                   float(np.linalg.norm(fixed_value - lb[0])))
-        if sl.stop > sl.start:
-            cost = max(cost, float(np.linalg.norm(path._left[sl] - fixed_value, axis=1).max()),
-                       float(np.linalg.norm(path.values[sl] - fixed_value, axis=1).max()))
-        return cost
-
-    fL = np.full((K, K), big)
-    fR = np.full((K, K), big)
-    fR[0, 0] = nodeR[0, 0]
-    if fR[0, 0] > lim:
-        return fR[0, 0]
+    # the grid points strictly between anchors k < l are [lo[k], hi[l])
+    bounds = (np.searchsorted(x.grid, anchors, side="right"),
+              np.searchsorted(x.grid, anchors, side="left"),
+              np.searchsorted(y.grid, anchors, side="right"),
+              np.searchsorted(y.grid, anchors, side="left"))
+    # per side: (x held at p_i while y sweeps [q_j, q_j+1], indexed [i][j];
+    #            y held at q_j while x sweeps [p_i, p_i+1], indexed [j][i])
+    sweeps = [(_sweep_table(xv, y, anchors, YR, YL).tolist(),
+               _sweep_table(yv, x, anchors, XR, XL).tolist())
+              for xv, yv in ((XL, YL), (XR, YR))]
+    nodes = (nodeL.tolist(), nodeR.tolist())
+    nR = nodes[1]
+    fL = [[inf] * K for _ in range(K)]
+    fR = [[inf] * K for _ in range(K)]
+    fR[0][0] = nR[0][0]
+    done = np.full((K, K), inf)  # fR of the finished rows
 
     for i in range(K):
-        for j in range(K):
+        rowL, rowR = fL[i], fR[i]
+        if i > 0:
             # affine stretches leave right sides and land on the left side of (i, j)
-            if i > 0 and j > 0 and nodeL[i, j] <= lim:
-                best = fL[i, j]
-                for i0 in range(i):
-                    if not np.any(fR[i0, :j] <= lim):
-                        continue
-                    for j0 in range(j):
-                        prev = fR[i0, j0]
-                        if prev > lim or prev >= best:
-                            continue
-                        c = max(prev, seg_cost(i0, j0, i, j), nodeL[i, j])
-                        if c < best:
-                            best = c
-                fL[i, j] = best
+            held = np.array(rowL)
+            tj = np.flatnonzero((nodeL[i] <= lim) & (nodeL[i] < held))
+            tj = tj[tj > 0]
+            i0, j0 = np.nonzero(done[:i] <= lim)
+            prev = done[i0, j0]
+            t, s = np.nonzero((j0 < tj[:, None]) & (prev < held[tj][:, None]))
+            if len(t):
+                tgt = tj[t]
+                cost = np.maximum(np.maximum(prev[s], nodeL[i, tgt]),
+                                  _stretch_costs(x, y, anchors, bounds, i0[s], j0[s], i, tgt))
+                best = np.full(K, inf)
+                np.minimum.at(best, tgt, cost)
+                for j, c in zip(tj.tolist(), best[tj].tolist()):
+                    if c < rowL[j]:
+                        rowL[j] = c
+        for j in range(K):
             # diagonal crossing of the anchor pair: left side to right side
-            if fL[i, j] <= lim and nodeR[i, j] <= lim:
-                fR[i, j] = min(fR[i, j], max(fL[i, j], nodeR[i, j]))
+            if rowL[j] <= lim and nR[i][j] <= lim:
+                c = max(rowL[j], nR[i][j])
+                if c < rowR[j]:
+                    rowR[j] = c
             # axis-parallel sweeps to the next anchor, staying on one side;
             # arriving at an anchor pair charges that pair's sided cost, so
             # longer sweeps compose exactly from adjacent ones
-            for f, xv, yv, node in ((fL, XL, YL, nodeL), (fR, XR, YR, nodeR)):
-                cur = f[i, j]
+            for f, node, (along_y, along_x) in zip((fL, fR), nodes, sweeps):
+                cur = f[i][j]
                 if cur > lim:
                     continue
                 if j + 1 < K:
-                    c = max(cur, sweep_cost(xv[i], y, anchors[j], anchors[j + 1]),
-                            node[i, j + 1])
-                    if c <= lim and c < f[i, j + 1]:
-                        f[i, j + 1] = c
+                    c = max(cur, along_y[i][j], node[i][j + 1])
+                    if c <= lim and c < f[i][j + 1]:
+                        f[i][j + 1] = c
                 if i + 1 < K:
-                    c = max(cur, sweep_cost(yv[j], x, anchors[i], anchors[i + 1]),
-                            node[i + 1, j])
-                    if c <= lim and c < f[i + 1, j]:
-                        f[i + 1, j] = c
-    return float(fR[K - 1, K - 1])
+                    c = max(cur, along_x[j][i], node[i + 1][j])
+                    if c <= lim and c < f[i + 1][j]:
+                        f[i + 1][j] = c
+        done[i] = rowR
+    return fR[K - 1][K - 1]
 
 
 def j1_distance(x: CadlagPath, y: CadlagPath, refinement: int = 8) -> float:
     """Approximate J1 distance: exact on step-function pairs, else an upper
-    bound never exceeding the uniform distance."""
+    bound never exceeding the uniform distance.  The value is the exact
+    minimum over the chain family, with no pruning."""
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
     return _j1_dp(x, y, refinement, cutoff=None)
@@ -428,8 +552,11 @@ def j1_distance(x: CadlagPath, y: CadlagPath, refinement: int = 8) -> float:
 def j1_within(x: CadlagPath, y: CadlagPath, eps: float, refinement: int = 8) -> bool:
     """Whether the (approximate) J1 distance is at most ``eps``.
 
-    Equivalent to ``j1_distance(x, y, refinement) <= eps`` but prunes the
-    search at the threshold, which is much faster on long paths.
+    Equivalent to ``j1_distance(x, y, refinement) <= eps``, verdict for
+    verdict, but prunes the search at the threshold, which is much faster on
+    long paths: a source whose chain already costs more than ``eps`` is never
+    extended, and entries above ``eps`` count as infinite, whatever value
+    they hold.
     """
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")

@@ -1,12 +1,12 @@
 """Monte Carlo verification machinery for heavy-tail limit statements.
 
 Estimators here turn the asymptotic statements about the simulated processes
-into finite-sample checks: crude tail probabilities with exact binomial
-errors, Hill tail-index recovery, Breiman product-tail ratios, tail
-equivalence of running sup and endpoint, conditional path-distance curves for
-the one-big-jump approximation, and the two auxiliary bounds (a decoupled
-maximal-product tail bound and the vanishing rate of seeing two or more
-above-threshold jumps).
+into finite-sample checks: crude tail probabilities with binomial (Wald)
+standard errors and Wilson score intervals, Hill tail-index recovery, Breiman
+product-tail ratios, tail equivalence of running sup and endpoint,
+conditional path-distance curves for the one-big-jump approximation, and the
+two auxiliary bounds (a decoupled maximal-product tail bound and the
+vanishing rate of seeing two or more above-threshold jumps).
 
 Conditioning events with zero Monte Carlo hits yield ``None`` entries rather
 than zeros, so downstream trend fits skip them instead of faking convergence.
@@ -40,7 +40,9 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Exceedance probability estimate: p_hat = hits/n with binomial stderr."""
+    """Exceedance probability estimate: p_hat = hits/n with its Wald binomial
+    stderr, which is 0 at 0 and n hits; ``wilson`` gives an interval that
+    keeps its width there."""
 
     u: float
     n: int
@@ -58,6 +60,24 @@ class TailEstimate:
     def stderr(self) -> float:
         p = self.p_hat
         return math.sqrt(p * (1.0 - p) / self.n)
+
+    def wilson(self, z: float = 1.959963984540054) -> tuple[float, float]:
+        """Wilson score interval for the exceedance probability, by default
+        at 95% (z = 1.96).
+
+        Closed form: centre (p + z^2/2n) / (1 + z^2/n) and half-width
+        z sqrt(p (1 - p)/n + z^2/4n^2) / (1 + z^2/n).  At 0 hits it is
+        [0, z^2/(n + z^2)], and at n hits [n/(n + z^2), 1].
+        """
+        if not z > 0:
+            raise ValueError("z must be positive")
+        n, p, z2 = self.n, self.p_hat, z * z
+        scale = 1.0 + z2 / n
+        centre = (p + z2 / (2 * n)) / scale
+        half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / scale
+        lo = 0.0 if self.hits == 0 else max(0.0, centre - half)
+        hi = 1.0 if self.hits == n else min(1.0, centre + half)
+        return lo, hi
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,33 @@ class TestTailProb:
         est = tail_prob(lambda rng, size: np.zeros(size), 1.0, 500, seed=1)
         assert est.p_hat == 0.0
 
+    def test_wilson_at_zero_hits(self):
+        # the Wald error is 0 here; the Wilson interval keeps its width
+        e = TailEstimate(1.0, 10, 0)
+        z2 = 1.959963984540054 ** 2
+        assert e.stderr == 0.0
+        lo, hi = e.wilson()
+        assert lo == 0.0
+        assert hi == pytest.approx(z2 / (10 + z2), rel=1e-12)
+        assert hi == pytest.approx(0.2775, abs=1e-4)  # the tabulated 95% bound for 0/10
+
+    def test_wilson_at_all_hits(self):
+        e = TailEstimate(1.0, 10, 10)
+        z2 = 1.959963984540054 ** 2
+        assert e.stderr == 0.0
+        lo, hi = e.wilson()
+        assert hi == 1.0
+        assert lo == pytest.approx(10 / (10 + z2), rel=1e-12)
+
+    def test_wilson_brackets_estimate_and_narrows(self):
+        wide = TailEstimate(1.0, 400, 25).wilson()
+        narrow = TailEstimate(1.0, 40000, 2500).wilson()
+        assert wide[0] < 25 / 400 < wide[1]
+        assert narrow[1] - narrow[0] < (wide[1] - wide[0]) / 5
+        assert TailEstimate(1.0, 400, 25).wilson(z=1.0)[1] < wide[1]
+        with pytest.raises(ValueError):
+            TailEstimate(1.0, 400, 25).wilson(z=0.0)
+
     def test_degenerate_sure_hit(self):
         est = tail_prob(lambda rng, size: np.full(size, 2.0), 1.0, 500, seed=1)
         assert est.p_hat == 1.0 and est.stderr == 0.0
