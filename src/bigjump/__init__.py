@@ -15,11 +15,9 @@ from .experiments import RunManifest, ValidationError, config_hash, run, validat
 from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
                        IntegrandSpec, JumpRecord, LevyModel, SimConfig,
                        assemble_levy_path, batch_integral_functionals,
-                       integrand_from_dict, integrand_from_json, integrand_to_json,
-                       one_jump_integral, simulate_big_jumps, simulate_integrand,
-                       simulate_levy_path, simulate_small_part,
+                       integrand_from_dict, one_jump_integral, simulate_big_jumps,
+                       simulate_integrand, simulate_levy_path, simulate_small_part,
                        stochastic_integral, threshold_jumps)
 from .regvar import (EndpointExceedance, Estimate, RadialCone, RegVarMeasure,
                      RunningSupExceedance, ScalingSequence, SetDescriptor,
-                     SupExceedance, breiman_constant, mu_tail, one_step_mass,
-                     scaling, weighted_one_step_mass)
+                     SupExceedance, mu_tail, one_step_mass, weighted_one_step_mass)

@@ -1,4 +1,4 @@
-"""Counter-based random-number streams.
+"""Counter-based random-number streams and the chunk driver.
 
 Every stochastic routine in the package draws from a Philox generator keyed
 by (seed, replicate_index, stream_tag).  Philox is counter-based, so streams
@@ -6,14 +6,32 @@ for distinct keys are independent and a replicate can be regenerated in
 isolation, bit for bit.  ``diagnostics.one_big_jump_curve`` relies on this:
 it screens replicates in vectorized form from their regenerated draws and
 rebuilds exact paths, from the same keys, only for the few survivors.
-Parallel chunked accumulation relies on it for reproducibility.
 
 ``rekey`` moves an existing generator to the start of another key's stream
 in place, which gives the same draws as a new ``substream`` at a fraction of
 the construction cost; the screening loop uses it once per replicate stream.
+
+``chunks(n, size, fn, threads)`` is the one loop over replicate ranges: it
+calls ``fn(index, start, stop)`` on consecutive ranges covering [0, n) and
+returns the results in chunk order, so a merge over them is the same for any
+``threads``.  The callers key their streams from the range as follows:
+
+- ``tail_prob`` and ``maximal_product_bound``: (seed, index, AUX_STREAM);
+- ``breiman_ratio``: (seed, index, AUX_STREAM) for X and
+  (seed, index, AUX_STREAM + 1) for Y;
+- ``double_jump_trend``: one stream (seed, i, AUX_STREAM) per ``n_values``
+  entry i, read on through its chunks in order;
+- ``weighted_one_step_mass``: (seed, start, AUX_STREAM);
+- ``batch_integral_functionals``: (seed, index, tag) for each noise tag;
+- ``one_big_jump_curve``: blocks and their screening sub-blocks draw each
+  replicate r from (seed, r, tag), so the split does not show in its counts.
+  It is the only caller with ``threads`` > 1.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -50,3 +68,17 @@ def rekey(gen: np.random.Generator, seed: int, replicate_index: int = 0,
         "has_uint32": 0, "uinteger": 0,
     }
     return gen
+
+
+def chunks(n: int, size: int, fn: Callable[[int, int, int], object],
+           threads: int = 1) -> list:
+    """``fn(index, start, stop)`` on the consecutive ranges of at most ``size``
+    that cover [0, n), in a pool of ``threads`` when above 1; the results come
+    back in chunk order."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    spans = [(i, start, min(start + size, n)) for i, start in enumerate(range(0, n, size))]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda span: fn(*span), spans))
+    return [fn(*span) for span in spans]

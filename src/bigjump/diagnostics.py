@@ -15,18 +15,17 @@ than zeros, so downstream trend fits skip them instead of faking convergence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, rekey,
-                   substream)
+from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
+                   rekey, substream)
 from .cadlag import (CadlagPath, j1_within, one_step_approx, sup_norm,
                      uniform_distance)
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
-                       _draw_jumps, _gaussian_walk, _integrand_values,
+                       _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
                        assemble_levy_path, batch_integral_functionals,
                        one_jump_integral, simulate_big_jumps,
                        simulate_integrand, simulate_small_part,
@@ -138,18 +137,9 @@ def tail_prob(sampler: BatchSampler, u: float, n: int, seed: int) -> TailEstimat
     """
     if u <= 0:
         raise ValueError("level must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < n:
-        b = min(_CHUNK, n - done)
-        rng = substream(seed, chunk_index, AUX_STREAM)
-        hits += int(np.count_nonzero(sampler(rng, b) > u))
-        done += b
-        chunk_index += 1
-    return TailEstimate(u, n, hits)
+    hits = chunks(n, _CHUNK, lambda i, start, stop: int(np.count_nonzero(
+        sampler(substream(seed, i, AUX_STREAM), stop - start) > u)))
+    return TailEstimate(u, n, sum(hits))
 
 
 def hill(sample: Sequence[float], k: int) -> HillEstimate:
@@ -169,13 +159,20 @@ def hill(sample: Sequence[float], k: int) -> HillEstimate:
 # Ratio estimators on shared replicates
 # ---------------------------------------------------------------------------
 
-def _delta_ratio(u: float, num: np.ndarray, den: np.ndarray, n: int) -> RatioEstimate:
-    """Ratio of exceedance indicator means with delta-method standard error."""
-    a, b = int(num.sum()), int(den.sum())
+def _joint_counts(num: np.ndarray, den: np.ndarray, u: float) -> np.ndarray:
+    """Counts of num > u, den > u and both."""
+    a, b = num > u, den > u
+    return np.array([np.count_nonzero(a), np.count_nonzero(b), np.count_nonzero(a & b)])
+
+
+def _delta_ratio(u: float, a: int, b: int, ab: int, n: int) -> RatioEstimate:
+    """Ratio of exceedance frequencies, from the counts of numerator,
+    denominator and joint hits, with delta-method standard error."""
+    a, b = int(a), int(b)
     if b == 0:
         return RatioEstimate(u, None, None, a, b, n)
     pa, pb = a / n, b / n
-    pab = float(np.count_nonzero(num & den)) / n
+    pab = int(ab) / n
     var = (pa * (1 - pa) / pb ** 2
            + pa ** 2 * pb * (1 - pb) / pb ** 4
            - 2 * pa * (pab - pa * pb) / pb ** 3) / n
@@ -186,36 +183,25 @@ def breiman_ratio(x_sampler: BatchSampler, y_sampler: BatchSampler,
                   levels: Sequence[float], n: int, seed: int) -> list[RatioEstimate]:
     """P(YX > u) / P(X > u) on shared X replicates, per level."""
     levels = list(levels)
-    num = np.zeros((len(levels), n), dtype=bool)
-    den = np.zeros((len(levels), n), dtype=bool)
-    done = 0
-    chunk_index = 0
-    while done < n:
-        b = min(_CHUNK, n - done)
-        xr = substream(seed, chunk_index, AUX_STREAM)
-        yr = substream(seed, chunk_index, AUX_STREAM + 1)
-        x = x_sampler(xr, b)
-        yx = y_sampler(yr, b) * x
-        for i, u in enumerate(levels):
-            num[i, done:done + b] = yx > u
-            den[i, done:done + b] = x > u
-        done += b
-        chunk_index += 1
-    return [_delta_ratio(u, num[i], den[i], n) for i, u in enumerate(levels)]
+
+    def counts(i: int, start: int, stop: int) -> np.ndarray:
+        x = x_sampler(substream(seed, i, AUX_STREAM), stop - start)
+        yx = y_sampler(substream(seed, i, AUX_STREAM + 1), stop - start) * x
+        return np.array([_joint_counts(yx, x, u) for u in levels])
+
+    total = np.sum(chunks(n, _CHUNK, counts), axis=0)
+    return [_delta_ratio(u, *total[i], n) for i, u in enumerate(levels)]
 
 
 def tail_equivalence(model: LevyModel, integrand: IntegrandSpec, t: float,
                      levels: Sequence[float], n: int, seed: int,
                      grid_size: int = 512) -> list[RatioEstimate]:
     """P(sup_{s<=t} (Y.X)_s > u) / P((Y.X)_t > u) on shared replicates."""
+    if any(u <= 0 for u in levels):
+        raise ValueError("levels must be positive")
     endpoint, runsup = batch_integral_functionals(model, integrand, t, n, seed,
                                                   grid_size=grid_size)
-    out = []
-    for u in levels:
-        if u <= 0:
-            raise ValueError("levels must be positive")
-        out.append(_delta_ratio(float(u), runsup > u, endpoint > u, n))
-    return out
+    return [_delta_ratio(float(u), *_joint_counts(runsup, endpoint, u), n) for u in levels]
 
 
 def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
@@ -478,31 +464,28 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
         flags = _carry(levels, epsilon, [s], [ja], [udist], [lower], j1_exceeds)[:3]
         _add_counts(counts, *flags, True)
 
-    def run_block(block: range) -> np.ndarray:
+    def screen_block(reps: range) -> np.ndarray:
         # rows: [sup hits, sup exceed, jump hits, jump exceed] per level
         counts = np.zeros((4, len(levels)), dtype=np.int64)
-        for s0 in range(block.start, block.stop, _SCREEN_BLOCK):
-            reps = range(s0, min(s0 + _SCREEN_BLOCK, block.stop))
-            s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed, reps,
-                                                            grid_size)
-            cond_sup, cond_jump, exceeds, undecided = _carry(levels, epsilon,
-                                                             s, ja, udist, lower)
-            survive = (irregular | undecided
-                       | _near(s, thresholds, scale) | _near(ja, thresholds, scale)
-                       | _near(udist, epsilon * thresholds, scale)
-                       | _near(lower, epsilon * thresholds, scale))
-            _add_counts(counts, cond_sup, cond_jump, exceeds, ~survive)
-            for rep in np.asarray(reps)[survive]:
-                exact(int(rep), counts)
+        s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed, reps,
+                                                        grid_size)
+        cond_sup, cond_jump, exceeds, undecided = _carry(levels, epsilon,
+                                                         s, ja, udist, lower)
+        survive = (irregular | undecided
+                   | _near(s, thresholds, scale) | _near(ja, thresholds, scale)
+                   | _near(udist, epsilon * thresholds, scale)
+                   | _near(lower, epsilon * thresholds, scale))
+        _add_counts(counts, cond_sup, cond_jump, exceeds, ~survive)
+        for rep in np.asarray(reps)[survive]:
+            exact(int(rep), counts)
         return counts
 
-    blocks = [range(s0, min(s0 + _BLOCK, n)) for s0 in range(0, n, _BLOCK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_block, blocks))
-    else:
-        parts = [run_block(b) for b in blocks]
-    counts = np.sum(parts, axis=0)
+    def block(i: int, start: int, stop: int) -> np.ndarray:
+        return np.sum(chunks(stop - start, _SCREEN_BLOCK,
+                             lambda j, a, b: screen_block(range(start + a, start + b))),
+                      axis=0)
+
+    counts = np.sum(chunks(n, _BLOCK, block, threads), axis=0)
 
     def curve(row_hits: int, row_exc: int, label: str) -> ConditionalDistanceCurve:
         ests = tuple(TailEstimate(levels[i], int(counts[row_hits, i]),
@@ -533,24 +516,22 @@ def maximal_product_bound(count_sampler: BatchSampler,
     """
     if x_level <= 0:
         raise ValueError("x_level must be positive")
-    lhs_hits = rhs_hits = 0
-    done = 0
-    chunk_index = 0
-    while done < n_trials:
-        b = min(_CHUNK, n_trials - done)
-        rng = substream(seed, chunk_index, AUX_STREAM)
+
+    def hits(i: int, start: int, stop: int) -> tuple[int, int]:
+        rng = substream(seed, i, AUX_STREAM)
+        b = stop - start
         counts = np.asarray(count_sampler(rng, b))
         kmax = max(int(counts.max()), 1)
         mask = np.arange(kmax)[None, :] < counts[:, None]
         z = np.where(mask, z_sampler(rng, (b, kmax)), 0.0)
         zt = np.where(mask, z_sampler(rng, (b, kmax)), 0.0)
         yk = np.where(mask, y_builder(z, mask), 0.0)
-        lhs_hits += int(np.count_nonzero((yk * z).sum(axis=1) > x_level))
-        rhs_hits += int(np.count_nonzero(counts * (yk * zt).max(axis=1) > x_level))
-        done += b
-        chunk_index += 1
-    return (TailEstimate(x_level, n_trials, lhs_hits),
-            TailEstimate(x_level, n_trials, rhs_hits))
+        return (int(np.count_nonzero((yk * z).sum(axis=1) > x_level)),
+                int(np.count_nonzero(counts * (yk * zt).max(axis=1) > x_level)))
+
+    lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits), axis=0)
+    return (TailEstimate(x_level, n_trials, int(lhs_hits)),
+            TailEstimate(x_level, n_trials, int(rhs_hits)))
 
 
 @dataclass(frozen=True)
@@ -582,17 +563,17 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
         p_n = min(1.0, thr ** (-measure.alpha))
         closed = n * (1.0 - (1.0 + lam * p_n) * math.exp(-lam * p_n))
         rng = substream(seed, idx, AUX_STREAM)
-        hits = 0
-        done = 0
-        while done < reps:
-            b = min(_CHUNK, reps - done)
-            counts = rng.poisson(lam, b)
+
+        def chunk_hits(i: int, start: int, stop: int) -> int:
+            # the chunks read on through this entry's one stream, in order
+            counts = rng.poisson(lam, stop - start)
             kmax = max(int(counts.max()), 1)
             mask = np.arange(kmax)[None, :] < counts[:, None]
-            radii = (1.0 - rng.random((b, kmax))) ** (-1.0 / measure.alpha)
+            radii = _pareto_radii(rng, measure.alpha, (stop - start, kmax))
             m = np.count_nonzero(mask & (radii > thr), axis=1)
-            hits += int(np.count_nonzero(m >= 2))
-            done += b
+            return int(np.count_nonzero(m >= 2))
+
+        hits = sum(chunks(reps, _CHUNK, chunk_hits))
         p_true = closed / n
         stderr = n * math.sqrt(p_true * (1.0 - p_true) / reps)
         out.append(TrendPoint(int(n), closed, n * hits / reps, stderr))

@@ -29,8 +29,8 @@ from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
                           breiman_ratio, double_jump_trend,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
-from .levy_sim import (ConstantIntegrand, LevyModel, SimConfig, assemble_levy_path,
-                       batch_integral_functionals, integrand_from_dict,
+from .levy_sim import (ConstantIntegrand, LevyModel, SimConfig, _pareto_radii,
+                       assemble_levy_path, batch_integral_functionals, integrand_from_dict,
                        one_jump_integral, simulate_big_jumps, simulate_integrand,
                        simulate_small_part, stochastic_integral)
 from .regvar import RegVarMeasure
@@ -290,8 +290,7 @@ def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
 
 
 def _run_breiman(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
-    alpha = spec.breiman.alpha
-    x_sampler = lambda rng, size: (1.0 - rng.random(size)) ** (-1.0 / alpha)
+    x_sampler = lambda rng, size: _pareto_radii(rng, spec.breiman.alpha, size)
     ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed)
     return [_write_rows(out, "breiman", digest, spec.format, _RATIO_HEADER,
                         _ratio_rows(ests))]
@@ -329,7 +328,7 @@ def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
                       threads: int) -> list[str]:
     sec = spec.lemma_checks
     alpha, lam = sec.alpha, sec.lam
-    z_sampler = lambda rng, shape: (1.0 - rng.random(shape)) ** (-1.0 / alpha)
+    z_sampler = lambda rng, shape: _pareto_radii(rng, alpha, shape)
     rows = []
     for label, y_builder in (
             ("unit", lambda z, mask: np.ones_like(z)),

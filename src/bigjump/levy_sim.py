@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, substream
+from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, substream
 from .cadlag import CadlagPath, largest_jump_time
 from .regvar import RegVarMeasure, ScalingSequence
 
@@ -225,48 +225,55 @@ def integrand_from_dict(obj: dict) -> IntegrandSpec:
     raise ValueError(f"unknown integrand variant: {variant}")
 
 
-def integrand_to_json(spec: IntegrandSpec) -> str:
-    return json.dumps(spec.to_dict())
-
-
-def integrand_from_json(text: str) -> IntegrandSpec:
-    return integrand_from_dict(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # Path simulation
 # ---------------------------------------------------------------------------
 
-def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate's big jumps from its jump stream: Poisson count, uniform
-    times, Pareto radii, spectral directions.  Returns sorted times (k,) and
-    sizes (k, d)."""
-    n = int(rng.poisson(model.big_jump_intensity))
-    if n == 0:
-        return np.zeros(0), np.zeros((0, model.dimension))
-    times = np.sort(1.0 - rng.random(n))
-    radii = (1.0 - rng.random(n)) ** (-1.0 / model.radial_alpha)
+def _pareto_radii(rng: np.random.Generator, alpha: float, shape) -> np.ndarray:
+    """Pareto radii on [1, inf) with tail index ``alpha``: (1 - U)**(-1/alpha)."""
+    return (1.0 - rng.random(shape)) ** (-1.0 / alpha)
+
+
+def _jump_marks(model: LevyModel, rng: np.random.Generator,
+                shape) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform times in (0, 1], shape ``shape``, and sizes (*shape, d) of big
+    jumps, drawn as times, then Pareto radii, then spectral directions."""
+    times = 1.0 - rng.random(shape)
+    radii = _pareto_radii(rng, model.radial_alpha, shape)
     dirs = np.stack([s for s, _ in model.spectral])
     weights = np.array([w for _, w in model.spectral])
-    idx = rng.choice(len(weights), size=n, p=weights)
-    return times, radii[:, None] * dirs[idx]
+    return times, radii[..., None] * dirs[rng.choice(len(weights), size=shape, p=weights)]
+
+
+def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate's big jumps from its jump stream: a Poisson count, then
+    its marks.  Returns sorted times (k,) and sizes (k, d)."""
+    n = int(rng.poisson(model.big_jump_intensity))
+    if n == 0:  # skips the cost of drawing no marks
+        return np.zeros(0), np.zeros((0, model.dimension))
+    times, sizes = _jump_marks(model, rng, n)
+    return np.sort(times), sizes
 
 
 def _gaussian_walk(model: LevyModel, z: np.ndarray) -> np.ndarray:
     """Light part on the uniform grid from standard normals ``z`` of shape
     (..., grid_size, d): values (..., grid_size + 1, d), starting at 0."""
     gs, d = z.shape[-2:]
-    inc = model.drift / gs + z @ model.diffusion.T / math.sqrt(gs)
-    return np.concatenate([np.zeros(z.shape[:-2] + (1, d)), np.cumsum(inc, axis=-2)],
-                          axis=-2)
+    inc = z @ model.diffusion.T
+    inc /= math.sqrt(gs)
+    inc += model.drift / gs
+    walk = np.zeros(z.shape[:-2] + (gs + 1, d))
+    np.cumsum(inc, axis=-2, out=walk[..., 1:, :])
+    return walk
 
 
 def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Exact OU transitions along the last axis of ``grid`` driven by the
     standard normals ``z`` (one per step), vectorized via the exp(rate * t)
-    integrating factor (exponents stay bounded on [0, 1])."""
+    integrating factor (exponents stay bounded on [0, 1]).  A one-dimensional
+    ``grid`` serves every leading index of ``z``."""
     h = np.diff(grid, axis=-1)
-    start = np.zeros(grid.shape[:-1] + (1,))
+    start = np.zeros(z.shape[:-1] + (1,))
     if rate == 0.0:
         sd = vol * np.sqrt(h)
         return np.concatenate([start, np.cumsum(sd * z, axis=-1)], axis=-1)
@@ -278,7 +285,8 @@ def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray) -> np
 def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
                       z: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrand values (..., m, d) at the times ``grid`` (..., m); an exp-OU
-    integrand also needs its standard normals ``z`` (..., m - 1)."""
+    integrand also needs its standard normals ``z`` (..., m - 1), against
+    whose leading axes a one-dimensional ``grid`` broadcasts."""
     if isinstance(spec, ConstantIntegrand):
         return np.tile(spec.value, grid.shape + (1,))
     if isinstance(spec, DeterministicIntegrand):
@@ -424,64 +432,40 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     it = round(t * grid_size)
     if not 0 < t <= 1 or abs(it / grid_size - t) > 1e-12:
         raise ValueError("t must be a grid time k/grid_size in (0, 1]")
-    lam, alpha = model.big_jump_intensity, model.radial_alpha
-    dirs = np.array([s[0] for s, _ in model.spectral])
-    weights = np.array([w for _, w in model.spectral])
-    sigma = float(model.diffusion[0, 0])
-    drift = float(model.drift[0])
-    has_cont = sigma != 0.0 or drift != 0.0
+    has_cont = model.diffusion.any() or model.drift.any()
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-
     endpoints = np.empty(n)
     sups = np.empty(n)
-    done = 0
-    for batch_index in range(math.ceil(n / _BATCH)):
-        b = min(_BATCH, n - done)
+
+    def batch(batch_index: int, start: int, stop: int) -> None:
+        b = stop - start
         rng = substream(seed, batch_index, JUMP_STREAM)
-        counts = rng.poisson(lam, b)
+        counts = rng.poisson(model.big_jump_intensity, b)
         kmax = max(int(counts.max()), 1)
         mask = np.arange(kmax)[None, :] < counts[:, None]
-        jt = 1.0 - rng.random((b, kmax))
-        radii = (1.0 - rng.random((b, kmax))) ** (-1.0 / alpha)
-        didx = rng.choice(len(weights), size=(b, kmax), p=weights)
-        jz = np.where(mask, radii * dirs[didx], 0.0)
+        jt, jz = _jump_marks(model, rng, (b, kmax))
+        jz = np.where(mask, jz[..., 0], 0.0)
         jt = np.where(mask, jt, 2.0)  # parked beyond the horizon
 
-        # integrand on the grid and at the jump times
-        if isinstance(integrand, ConstantIntegrand):
-            y_grid = np.full((b, grid_size + 1), integrand.value[0])
-            y_jump = np.full((b, kmax), integrand.value[0])
-        elif isinstance(integrand, DeterministicIntegrand):
-            y_grid = np.broadcast_to(np.asarray(integrand.fn(grid), dtype=float).reshape(-1),
-                                     (b, grid_size + 1))
-            y_jump = np.asarray(integrand.fn(np.where(mask, jt, 0.0)), dtype=float)
-        elif isinstance(integrand, ExpOUIntegrand):
-            grng = substream(seed, batch_index, INTEGRAND_STREAM)
-            h = 1.0 / grid_size
-            z = grng.standard_normal((b, grid_size))
-            if integrand.rate == 0.0:
-                u = np.hstack([np.zeros((b, 1)),
-                               np.cumsum(integrand.vol * math.sqrt(h) * z, axis=1)])
-            else:
-                sd = integrand.vol * math.sqrt((1 - math.exp(-2 * integrand.rate * h))
-                                               / (2 * integrand.rate))
-                w = np.cumsum(np.exp(integrand.rate * grid[1:]) * sd * z, axis=1)
-                u = np.hstack([np.zeros((b, 1)), np.exp(-integrand.rate * grid[1:]) * w])
-            y_grid = integrand.initial * np.exp(u)
+        # integrand on the grid and at the jump times; exp-OU at a jump time
+        # takes its last grid sample before the jump
+        if isinstance(integrand, ExpOUIntegrand):
+            z = substream(seed, batch_index, INTEGRAND_STREAM).standard_normal((b, grid_size))
+            y_grid = _integrand_values(integrand, grid, z)[..., 0]
             pos = np.clip((jt * grid_size).astype(int), 0, grid_size)
             y_jump = np.take_along_axis(y_grid, pos, axis=1)
         else:
-            raise ValueError(f"unknown integrand spec: {type(integrand).__name__}")
-
+            y_grid = np.broadcast_to(_integrand_values(integrand, grid)[:, 0],
+                                     (b, grid_size + 1))
+            y_jump = _integrand_values(integrand, np.where(mask, jt, 0.0))[..., 0]
         wz = np.where(mask, y_jump * jz, 0.0)
 
         # continuous part: left-endpoint sums of y against the Gaussian walk
         if has_cont:
-            xrng = substream(seed, batch_index, GAUSS_STREAM)
-            inc = drift / grid_size + sigma / math.sqrt(grid_size) \
-                * xrng.standard_normal((b, grid_size))
-            wc = np.hstack([np.zeros((b, 1)), np.cumsum(y_grid[:, :-1] * inc, axis=1)])
-            xc = np.hstack([np.zeros((b, 1)), np.cumsum(inc, axis=1)])
+            z = substream(seed, batch_index, GAUSS_STREAM).standard_normal((b, grid_size, 1))
+            xc = _gaussian_walk(model, z)[..., 0]
+            wc = np.hstack([np.zeros((b, 1)),
+                            np.cumsum(y_grid[:, :-1] * np.diff(xc, axis=1), axis=1)])
         else:
             wc = np.zeros((b, grid_size + 1))
             xc = wc
@@ -493,7 +477,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         np.add.at(jump_grid, (np.arange(b)[:, None], gpos), wz)
         jump_grid = np.cumsum(jump_grid[:, : grid_size + 1], axis=1)
 
-        endpoints[done:done + b] = wc[:, it] + jump_grid[:, it]
+        endpoints[start:stop] = wc[:, it] + jump_grid[:, it]
 
         sup_vals = np.max(wc[:, : it + 1] + jump_grid[:, : it + 1], axis=1)
         # post-jump values between grid points: interpolate the continuous part
@@ -511,9 +495,9 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         ok = jt_sorted <= t
         post = np.where(ok, value_at, -np.inf)
         pre = np.where(ok, value_at - wz_sorted, -np.inf)
-        if kmax:
-            sup_vals = np.maximum(sup_vals, post.max(axis=1))
-            sup_vals = np.maximum(sup_vals, pre.max(axis=1))
-        sups[done:done + b] = np.maximum(sup_vals, 0.0)  # path starts at 0
-        done += b
+        sup_vals = np.maximum(sup_vals, post.max(axis=1))
+        sup_vals = np.maximum(sup_vals, pre.max(axis=1))
+        sups[start:stop] = np.maximum(sup_vals, 0.0)  # path starts at 0
+
+    chunks(n, _BATCH, batch)
     return endpoints, sups

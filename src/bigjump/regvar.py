@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import AUX_STREAM, substream
+from ._rng import AUX_STREAM, chunks, substream
 
 DirectionPredicate = Callable[[np.ndarray], bool]
 
@@ -134,12 +134,6 @@ class ScalingSequence:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         return (self.intensity_c * n) ** (1.0 / self.alpha)
-
-    __call__ = value
-
-
-def scaling(seq: ScalingSequence, n: int) -> float:
-    return seq.value(n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +294,11 @@ def weighted_one_step_mass(measure: RegVarMeasure,
     draws from its own derived sub-stream and the chunk results merge in chunk
     order, so the estimate is reproducible.
     """
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    chunk = 256
-
-    def run_chunk(c0: int) -> tuple[int, float, float]:
+    def run_chunk(i: int, start: int, stop: int) -> tuple[int, float, float]:
         # Welford accumulation: (count, mean, sum of squared deviations)
-        rng = substream(seed, c0, AUX_STREAM)
+        rng = substream(seed, start, AUX_STREAM)
         count, mean, m2 = 0, 0.0, 0.0
-        for _ in range(min(chunk, n_mc - c0)):
+        for _ in range(stop - start):
             path = integrand_sampler(rng)
             grid = np.asarray(path.grid, dtype=float)
             values = np.asarray(path.values, dtype=float)
@@ -322,7 +312,7 @@ def weighted_one_step_mass(measure: RegVarMeasure,
             m2 += delta * (x - mean)
         return count, mean, m2
 
-    parts = [run_chunk(c0) for c0 in range(0, n_mc, chunk)]
+    parts = chunks(n_mc, 256, run_chunk)
 
     n, mean, m2 = parts[0]
     for cn, cmean, cm2 in parts[1:]:
@@ -333,16 +323,3 @@ def weighted_one_step_mass(measure: RegVarMeasure,
         n = total
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return Estimate(mean, stderr, n)
-
-
-def breiman_constant(integrand_sampler: Callable[[np.random.Generator], float],
-                     alpha: float, n_mc: int, seed: int) -> Estimate:
-    """Monte Carlo estimate of E(Y**alpha) for a nonnegative scalar sampler."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    rng = substream(seed, 0, AUX_STREAM)
-    draws = np.array([float(integrand_sampler(rng)) ** alpha for _ in range(n_mc)])
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return Estimate(float(draws.mean()), stderr, n_mc)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestBreimanRatio:
         e = ests[0]
         assert abs(e.ratio - math.exp(0.5)) < 4 * e.stderr
 
+    def test_memory_bounded_in_n(self):
+        # counts merge per chunk, so nothing of size n is kept
+        tracemalloc.start()
+        try:
+            breiman_ratio(pareto_sampler(2.0),
+                          lambda rng, size: np.exp(0.5 * rng.standard_normal(size)),
+                          [2.0, 4.0, 8.0, 16.0, 32.0], 4_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
 
 class TestTailEquivalence:
     def test_monotone_paths_ratio_exactly_one(self):
@@ -150,6 +163,15 @@ class TestTailEquivalence:
                                 seed=1, grid_size=16)
         assert ests[0].ratio is None and ests[0].stderr is None
         assert ests[0].denominator_hits == 0
+
+    def test_levels_checked_before_sampling(self, monkeypatch):
+        def sampler(*args, **kwargs):
+            raise AssertionError("sampled before the levels were checked")
+
+        monkeypatch.setattr(diagnostics, "batch_integral_functionals", sampler)
+        m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)])
+        with pytest.raises(ValueError, match="levels must be positive"):
+            tail_equivalence(m, ConstantIntegrand([1.0]), 1.0, [2.0, 0.0], 10**9, seed=1)
 
 
 class TestOneBigJumpCurve:
@@ -417,3 +439,18 @@ class TestDoubleJumpTrend:
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
         with pytest.raises(ValueError, match="beta must lie"):
             double_jump_trend(m, 1.0, 0.5, [100], 10, 1)
+
+
+@pytest.mark.parametrize("estimate", [
+    pytest.param(lambda: tail_prob(pareto_sampler(2.0), 1.0, 0, 1), id="tail_prob"),
+    pytest.param(lambda: breiman_ratio(pareto_sampler(2.0), pareto_sampler(2.0), [2.0], 0, 1),
+                 id="breiman_ratio"),
+    pytest.param(lambda: maximal_product_bound(
+        lambda rng, size: rng.poisson(1.0, size), lambda z, mask: np.ones_like(z),
+        lambda rng, shape: rng.random(shape), 0, 5.0, 1), id="maximal_product_bound"),
+    pytest.param(lambda: double_jump_trend(RegVarMeasure(1.5, 1.0, [([1.0], 1.0)]), 1.0,
+                                           0.75, [100, 1000], 0, 1), id="double_jump_trend"),
+])
+def test_no_replicates_rejected(estimate):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        estimate()

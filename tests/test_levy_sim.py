@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from bigjump import levy_sim
+from bigjump._rng import JUMP_STREAM, substream
 from bigjump.cadlag import CadlagPath, cw_product, one_step_approx, sup_norm, largest_jump_time
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, JumpRecord, LevyModel, SimConfig,
@@ -316,6 +318,39 @@ class TestBatchFunctionals:
             se = math.sqrt(pr * (1 - pr) * (1 / len(ref) + 1 / len(endpoint)))
             assert abs(pb - pr) < 4 * se
         assert np.all(runsup >= endpoint - 1e-12)
+
+    @pytest.mark.parametrize("model, spec, t", [
+        pytest.param(LevyModel(1, 2.0, 1.5, [([1.0], 0.7), ([-1.0], 0.3)],
+                               diffusion=[[0.5]], drift=[0.3]),
+                     ConstantIntegrand([1.5]), 1.0, id="constant-diffusion"),
+        pytest.param(LevyModel(1, 2.0, 1.5, [([1.0], 0.7), ([-1.0], 0.3)]),
+                     DeterministicIntegrand.exponential(2.0, -1.5), 0.75, id="deterministic"),
+    ])
+    def test_matches_replicate_paths_on_same_draws(self, monkeypatch, model, spec, t):
+        # One replicate per batch: batch k draws from replicate k's jump and
+        # Gaussian streams.  The reference pairs each jump time with the size
+        # drawn at its position, as the batch does (``_draw_jumps`` sorts the
+        # times apart from the sizes, which has the same law), and computes the
+        # functionals with the exact path machinery.
+        monkeypatch.setattr(levy_sim, "_BATCH", 1)
+        n, seed, grid_size = 200, 13, 64
+        endpoint, runsup = batch_integral_functionals(model, spec, t, n, seed, grid_size)
+        several = 0  # replicates with two or more jumps
+        for k in range(n):
+            cfg = SimConfig(grid_size, seed, k)
+            rng = substream(seed, k, JUMP_STREAM)
+            times, sizes = levy_sim._jump_marks(model, rng,
+                                                int(rng.poisson(model.big_jump_intensity)))
+            jumps = [JumpRecord(times[i], sizes[i]) for i in np.argsort(times)]
+            x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+            y = simulate_integrand(spec, cfg, times=times)
+            w = stochastic_integral(y, x)
+            left, right = w._sides_at(w.grid[w.grid <= t])
+            np.testing.assert_allclose([endpoint[k], runsup[k]],
+                                       [w.value_at(t)[0], max(left.max(), right.max())],
+                                       rtol=1e-12)
+            several += len(jumps) > 1
+        assert several > n // 4
 
     def test_deterministic_in_seed(self):
         m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.2]])

@@ -7,8 +7,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, SimConfig, simulate_integrand)
 from bigjump.regvar import (EndpointExceedance, RadialCone, RegVarMeasure,
                             RunningSupExceedance, ScalingSequence, SupExceedance,
-                            breiman_constant, mu_tail, one_step_mass,
-                            weighted_one_step_mass)
+                            mu_tail, one_step_mass, weighted_one_step_mass)
 
 POS = lambda s: s[0] > 0
 
@@ -173,17 +172,3 @@ class TestWeightedOneStepMass:
         with pytest.raises(ValueError):
             weighted_one_step_mass(two_sided(), _const_sampler([1.0]),
                                    SupExceedance(1.0), 0, seed=1)
-
-
-class TestBreimanConstant:
-    def test_unit(self):
-        assert breiman_constant(lambda rng: 1.0, 1.7, 50, 1).value == 1.0
-
-    def test_constant_two(self):
-        assert breiman_constant(lambda rng: 2.0, 2.0, 50, 1).value == 4.0
-
-    def test_lognormal_moment(self):
-        # E(Y^2) = exp(2 * sigma^2) for lognormal with log-sd sigma = 0.5
-        est = breiman_constant(lambda rng: math.exp(0.5 * rng.standard_normal()),
-                               2.0, 40000, seed=12)
-        assert abs(est.value - math.exp(0.5)) < 3 * est.stderr
