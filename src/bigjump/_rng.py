@@ -25,7 +25,9 @@ returns the results in chunk order, so a merge over them is the same for any
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag;
 - ``one_big_jump_curve``: blocks and their screening sub-blocks draw each
   replicate r from (seed, r, tag), so the split does not show in its counts.
-  It is the only caller with ``threads`` > 1.
+
+The last two are the only callers with ``threads`` > 1; the batch sampler
+gets it from the tails and tail-equivalence kinds.
 """
 
 from __future__ import annotations

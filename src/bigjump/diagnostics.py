@@ -195,12 +195,13 @@ def breiman_ratio(x_sampler: BatchSampler, y_sampler: BatchSampler,
 
 def tail_equivalence(model: LevyModel, integrand: IntegrandSpec, t: float,
                      levels: Sequence[float], n: int, seed: int,
-                     grid_size: int = 512) -> list[RatioEstimate]:
-    """P(sup_{s<=t} (Y.X)_s > u) / P((Y.X)_t > u) on shared replicates."""
+                     grid_size: int = 512, threads: int = 1) -> list[RatioEstimate]:
+    """P(sup_{s<=t} (Y.X)_s > u) / P((Y.X)_t > u) on shared replicates; the
+    replicate batches run on ``threads`` threads, with the same result."""
     if any(u <= 0 for u in levels):
         raise ValueError("levels must be positive")
     endpoint, runsup = batch_integral_functionals(model, integrand, t, n, seed,
-                                                  grid_size=grid_size)
+                                                  grid_size=grid_size, threads=threads)
     return [_delta_ratio(float(u), *_joint_counts(runsup, endpoint, u), n) for u in levels]
 
 
@@ -209,9 +210,11 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
                         grid_size: int = 4096) -> float:
     """Limit-measure prediction sigma(+) * c * u**-alpha * integral of E(Y_s**alpha).
 
-    The inner expectation is Monte Carlo over integrand paths; the time
-    integral is composite trapezoid quadrature on the simulation grid.  For a
-    one-dimensional model with positive spectral weight.
+    The inner expectation is Monte Carlo over ``n_mc`` exp-OU integrand
+    paths; a constant or deterministic integrand has one path, which is drawn
+    once (the Monte Carlo mean of ``n_mc`` equal draws is exactly its value).
+    The time integral is composite trapezoid quadrature on the simulation
+    grid.  For a one-dimensional model with positive spectral weight.
     """
     if measure.dimension != 1:
         raise ValueError("analytic prediction applies to one-dimensional models")
@@ -222,7 +225,8 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
         return simulate_integrand(integrand, SimConfig(grid_size, seed, rep))
 
     region = EndpointExceedance(t, u, lambda s: s[0] > 0)
-    return weighted_one_step_mass(measure, sampler, region, n_mc, seed).value
+    draws = n_mc if isinstance(integrand, ExpOUIntegrand) else 1
+    return weighted_one_step_mass(measure, sampler, region, draws, seed).value
 
 
 # ---------------------------------------------------------------------------

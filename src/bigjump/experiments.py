@@ -276,7 +276,8 @@ _RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "
 
 def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
     endpoint, _ = batch_integral_functionals(spec.model, spec.integrand, spec.t, spec.n,
-                                             spec.seed, grid_size=spec.grid_size)
+                                             spec.seed, grid_size=spec.grid_size,
+                                             threads=threads)
     measure = spec.model.induced_measure()
     rows = []
     for u in spec.levels:
@@ -319,7 +320,7 @@ def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
 def _run_tail_equivalence(spec: SimpleNamespace, out: Path, digest: str,
                           threads: int) -> list[str]:
     ests = tail_equivalence(spec.model, spec.integrand, spec.t, spec.levels, spec.n,
-                            spec.seed, grid_size=spec.grid_size)
+                            spec.seed, grid_size=spec.grid_size, threads=threads)
     return [_write_rows(out, "tail_equivalence", digest, spec.format, _RATIO_HEADER,
                         _ratio_rows(ests))]
 

@@ -416,16 +416,25 @@ _BATCH = 8192
 
 
 def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
-                               t: float, n: int, seed: int,
-                               grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
+                               t: float, n: int, seed: int, grid_size: int = 512,
+                               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint value and running sup over [0, t] of the integral, vectorized.
 
     Returns arrays of shape (n,): ((Y.X)_t, sup_{s<=t} (Y.X)_s) for a
     one-dimensional model.  Replicates are simulated in fixed-size batches
     with counter-based per-batch streams, so results are reproducible for any
-    ``n``.  An exp-OU integrand is evaluated at jump times via its last grid
-    sample before the jump (predictable; the grid bias vanishes with
-    grid_size).  ``t`` must be a grid point.
+    ``n``, and the batches are split over ``threads`` without changing a bit.
+    An exp-OU integrand is evaluated at jump times via its last grid sample
+    before the jump (predictable; the grid bias vanishes with grid_size).
+    ``t`` must be a grid point.
+
+    The jump part is kept per replicate, (batch, most jumps) arrays, never on
+    the grid: the jumps of a grid cell are summed in draw order, their
+    running sum J is piecewise constant on the grid, and the grid sup is the
+    maximum over J's constant stretches of J plus the stretch's largest
+    continuous value (exact, since rounding x + J is monotone in x).  The cost
+    grows with the batch size times its largest jump count, not times the
+    grid size.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
@@ -439,6 +448,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
 
     def batch(batch_index: int, start: int, stop: int) -> None:
         b = stop - start
+        rows = np.arange(b)[:, None]
         rng = substream(seed, batch_index, JUMP_STREAM)
         counts = rng.poisson(model.big_jump_intensity, b)
         kmax = max(int(counts.max()), 1)
@@ -461,36 +471,57 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         wz = np.where(mask, y_jump * jz, 0.0)
 
         # continuous part: left-endpoint sums of y against the Gaussian walk
+        # (identically 0 without diffusion and drift)
         if has_cont:
             z = substream(seed, batch_index, GAUSS_STREAM).standard_normal((b, grid_size, 1))
             xc = _gaussian_walk(model, z)[..., 0]
             wc = np.hstack([np.zeros((b, 1)),
                             np.cumsum(y_grid[:, :-1] * np.diff(xc, axis=1), axis=1)])
-        else:
-            wc = np.zeros((b, grid_size + 1))
-            xc = wc
 
-        # cumulative jump part on the grid (jump at tau contributes from the
-        # first grid point >= tau on)
-        gpos = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
-        jump_grid = np.zeros((b, grid_size + 2))
-        np.add.at(jump_grid, (np.arange(b)[:, None], gpos), wz)
-        jump_grid = np.cumsum(jump_grid[:, : grid_size + 1], axis=1)
+        # jump part on the grid: a jump at tau counts from the first grid
+        # point >= tau on.  Sorting by that cell keeps draw order inside a
+        # cell; J holds the running sum over cells, complete at each cell's
+        # last jump (starting every cell from 0.0 and adding cells in order
+        # gives the bits of a dense per-grid-point sum and its cumsum).
+        cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
+        by_cell = np.argsort(cell, axis=1, kind="stable")
+        cell = np.take_along_axis(cell, by_cell, axis=1)
+        w = np.take_along_axis(wz, by_cell, axis=1)
+        acc = 0.0 + w
+        same = cell[:, 1:] == cell[:, :-1]
+        for k in np.flatnonzero(same.any(axis=0)) + 1:
+            acc[:, k] = np.where(same[:, k - 1], acc[:, k - 1] + w[:, k], acc[:, k])
+        last = np.hstack([~same, np.ones((b, 1), dtype=bool)])
+        J = np.cumsum(np.where(last, acc, 0.0), axis=1)
 
-        endpoints[start:stop] = wc[:, it] + jump_grid[:, it]
+        seen = np.count_nonzero(cell <= it, axis=1)
+        j_end = np.where(seen > 0, J[rows[:, 0], seen - 1], 0.0)
+        endpoints[start:stop] = (wc[:, it] if has_cont else 0.0) + j_end
 
-        sup_vals = np.max(wc[:, : it + 1] + jump_grid[:, : it + 1], axis=1)
+        # grid sup: J is constant from each cell with jumps up to the next;
+        # stretch 0 runs from time 0 with J = 0 (jump cells are >= 1, since
+        # jump times are > 0, so a row's stretch starts strictly increase)
+        stretch = np.hstack([np.ones((b, 1), dtype=bool), last & (cell <= it)])
+        stretch_j = np.hstack([np.zeros((b, 1)), J])
+        stretch_wc = np.zeros((b, kmax + 1))
+        if has_cont:
+            starts = np.hstack([np.zeros((b, 1), dtype=int), cell]) + rows * (it + 1)
+            stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
+                                                      starts[stretch])
+        sup_vals = np.max(np.where(stretch, stretch_wc + stretch_j, -np.inf), axis=1)
+
         # post-jump values between grid points: interpolate the continuous part
         # and add the time-ordered cumulative jump sums
         order = np.argsort(jt, axis=1)
         wz_sorted = np.take_along_axis(wz, order, axis=1)
         cum_sorted = np.cumsum(wz_sorted, axis=1)
         jt_sorted = np.take_along_axis(jt, order, axis=1)
-        seg = np.clip((jt_sorted * grid_size).astype(int), 0, grid_size - 1)
-        rows = np.arange(b)[:, None]
-        frac = jt_sorted * grid_size - seg
-        xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
-        wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
+        wc_at = 0.0
+        if has_cont:
+            seg = np.clip((jt_sorted * grid_size).astype(int), 0, grid_size - 1)
+            frac = jt_sorted * grid_size - seg
+            xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
+            wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
         value_at = wc_at + cum_sorted
         ok = jt_sorted <= t
         post = np.where(ok, value_at, -np.inf)
@@ -499,5 +530,5 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         sup_vals = np.maximum(sup_vals, pre.max(axis=1))
         sups[start:stop] = np.maximum(sup_vals, 0.0)  # path starts at 0
 
-    chunks(n, _BATCH, batch)
+    chunks(n, _BATCH, batch, threads)
     return endpoints, sups

@@ -14,7 +14,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               assemble_levy_path, one_jump_integral,
                               simulate_big_jumps, simulate_integrand,
                               simulate_small_part, stochastic_integral)
-from bigjump.regvar import RegVarMeasure
+from bigjump.regvar import EndpointExceedance, RegVarMeasure, weighted_one_step_mass
 
 
 def pareto_sampler(alpha):
@@ -382,6 +382,26 @@ class TestAnalyticPrediction:
         v = analytic_prediction(m, DeterministicIntegrand.exponential(1.0, -1.0),
                                 1.0, 10.0, 8, seed=1, grid_size=4096)
         assert v == pytest.approx(0.016377854262808043, abs=1e-8)
+
+
+    @pytest.mark.parametrize("n_mc", [1, 257, 2048])
+    @pytest.mark.parametrize("integrand", [
+        pytest.param(ConstantIntegrand([0.7]), id="constant"),
+        pytest.param(DeterministicIntegrand.exponential(1.0, -1.0), id="deterministic"),
+        pytest.param(ExpOUIntegrand(2.0, 0.3, 1.0), id="exp-ou"),
+    ])
+    def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc):
+        # a constant or deterministic integrand is drawn once: n_mc equal
+        # draws, merged over 256-draw chunks past 256, have exactly the one
+        # draw's value as their mean
+        m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
+        sampler = lambda rng: simulate_integrand(
+            integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62))))
+        region = EndpointExceedance(0.75, 4.0, lambda s: s[0] > 0)
+        full = weighted_one_step_mass(m, sampler, region, n_mc, seed=3)
+        assert full.n == n_mc
+        assert analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
+                                   grid_size=64) == full.value
 
 
 class TestMaximalProductBound:

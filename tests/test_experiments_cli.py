@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bigjump import cli
+from bigjump import cli, levy_sim
 from bigjump.experiments import ValidationError, config_hash, run, validate
 
 MODEL = {"dimension": 1, "big_jump_intensity": 1.0, "radial_alpha": 1.5,
@@ -248,6 +248,22 @@ class TestCli:
                          "--out-dir", str(tmp_path / "c")]) == 0
         read = lambda d: (tmp_path / d / "tails.csv").read_bytes()
         assert read("a") == read("b") != read("c")
+
+    @pytest.mark.parametrize("kind", ["tails", "tail-equivalence"])
+    def test_threads_write_identical_files(self, tmp_path, monkeypatch, kind):
+        # five batches, so two threads share them
+        monkeypatch.setattr(levy_sim, "_BATCH", 1000)
+        cfg = tails_config(kind=kind, n=4500, levels=[2.0, 5.0, 10.0],
+                           model=dict(MODEL, diffusion=[[0.5]]), integrand=EXP_OU)
+        if kind == "tails":
+            cfg["n_mc_inner"] = 16
+        path = self._write(tmp_path, cfg)
+        for threads in ("1", "2"):
+            assert cli.main(["run", path, "--threads", threads,
+                             "--out-dir", str(tmp_path / threads)]) == 0
+        stem = kind.replace("-", "_")
+        read = lambda d: (tmp_path / d / f"{stem}.csv").read_bytes()
+        assert read("1") == read("2")
 
     def test_paths_subcommand(self, tmp_path):
         cfg = self._write(tmp_path, {"seed": 2, "grid_size": 32, "model": MODEL,

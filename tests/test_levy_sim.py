@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bigjump import levy_sim
-from bigjump._rng import JUMP_STREAM, substream
+from bigjump._rng import (GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
+                          substream)
 from bigjump.cadlag import CadlagPath, cw_product, one_step_approx, sup_norm, largest_jump_time
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, JumpRecord, LevyModel, SimConfig,
@@ -363,3 +364,99 @@ class TestBatchFunctionals:
         with pytest.raises(ValueError, match="grid time"):
             batch_integral_functionals(m, ConstantIntegrand([1.0]), 0.123, 10, 1,
                                        grid_size=64)
+
+
+def dense_batch_reference(model, integrand, t, n, seed, grid_size):
+    """``batch_integral_functionals`` as it was before the jump part went
+    sparse: the jump sums live on the whole grid (``np.add.at``, a row
+    ``cumsum``) and the grid sup is a dense maximum.  Kept as the reference
+    the sparse sampler must match bit for bit; batches follow ``_BATCH``."""
+    it = round(t * grid_size)
+    has_cont = model.diffusion.any() or model.drift.any()
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    endpoints = np.empty(n)
+    sups = np.empty(n)
+
+    def batch(batch_index, start, stop):
+        b = stop - start
+        rng = substream(seed, batch_index, JUMP_STREAM)
+        counts = rng.poisson(model.big_jump_intensity, b)
+        kmax = max(int(counts.max()), 1)
+        mask = np.arange(kmax)[None, :] < counts[:, None]
+        jt, jz = levy_sim._jump_marks(model, rng, (b, kmax))
+        jz = np.where(mask, jz[..., 0], 0.0)
+        jt = np.where(mask, jt, 2.0)
+        if isinstance(integrand, ExpOUIntegrand):
+            z = substream(seed, batch_index, INTEGRAND_STREAM).standard_normal((b, grid_size))
+            y_grid = levy_sim._integrand_values(integrand, grid, z)[..., 0]
+            pos = np.clip((jt * grid_size).astype(int), 0, grid_size)
+            y_jump = np.take_along_axis(y_grid, pos, axis=1)
+        else:
+            y_grid = np.broadcast_to(levy_sim._integrand_values(integrand, grid)[:, 0],
+                                     (b, grid_size + 1))
+            y_jump = levy_sim._integrand_values(integrand, np.where(mask, jt, 0.0))[..., 0]
+        wz = np.where(mask, y_jump * jz, 0.0)
+        if has_cont:
+            z = substream(seed, batch_index, GAUSS_STREAM).standard_normal((b, grid_size, 1))
+            xc = levy_sim._gaussian_walk(model, z)[..., 0]
+            wc = np.hstack([np.zeros((b, 1)),
+                            np.cumsum(y_grid[:, :-1] * np.diff(xc, axis=1), axis=1)])
+        else:
+            wc = np.zeros((b, grid_size + 1))
+            xc = wc
+        gpos = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
+        jump_grid = np.zeros((b, grid_size + 2))
+        np.add.at(jump_grid, (np.arange(b)[:, None], gpos), wz)
+        jump_grid = np.cumsum(jump_grid[:, : grid_size + 1], axis=1)
+        endpoints[start:stop] = wc[:, it] + jump_grid[:, it]
+        sup_vals = np.max(wc[:, : it + 1] + jump_grid[:, : it + 1], axis=1)
+        order = np.argsort(jt, axis=1)
+        wz_sorted = np.take_along_axis(wz, order, axis=1)
+        cum_sorted = np.cumsum(wz_sorted, axis=1)
+        jt_sorted = np.take_along_axis(jt, order, axis=1)
+        seg = np.clip((jt_sorted * grid_size).astype(int), 0, grid_size - 1)
+        rows = np.arange(b)[:, None]
+        frac = jt_sorted * grid_size - seg
+        xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
+        wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
+        value_at = wc_at + cum_sorted
+        ok = jt_sorted <= t
+        post = np.where(ok, value_at, -np.inf)
+        pre = np.where(ok, value_at - wz_sorted, -np.inf)
+        sup_vals = np.maximum(sup_vals, post.max(axis=1))
+        sup_vals = np.maximum(sup_vals, pre.max(axis=1))
+        sups[start:stop] = np.maximum(sup_vals, 0.0)
+
+    chunks(n, levy_sim._BATCH, batch)
+    return endpoints, sups
+
+
+class TestBatchDifferential:
+    """The sparse jump sums against the dense reference, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [None, 700], ids=["one-batch", "partial-batch"])
+    @pytest.mark.parametrize("model, spec, t, grid_size", [
+        pytest.param(pure_jump_model(), DeterministicIntegrand.exponential(1.0, -1.0),
+                     1.0, 512, id="readme"),
+        pytest.param(LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]]),
+                     ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 512, id="diffusion-exp-ou"),
+        pytest.param(LevyModel(1, 2.0, 1.5, [([1.0], 0.7), ([-1.0], 0.3)],
+                               diffusion=[[0.5]], drift=[0.3]),
+                     ConstantIntegrand([1.5]), 0.5, 512, id="two-sided-half"),
+        pytest.param(LevyModel(1, 40.0, 1.5, [([1.0], 0.6), ([-1.0], 0.4)],
+                               diffusion=[[0.2]]),
+                     DeterministicIntegrand.exponential(-2.0, -1.5), 1.0, 16,
+                     id="many-jumps-per-cell"),
+        pytest.param(LevyModel(1, 1.0, 1.2, [([1.0], 1.0)]),
+                     ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 128, id="no-diffusion-exp-ou"),
+        pytest.param(LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], drift=[1.0]),
+                     ConstantIntegrand([2.0]), 0.5, 64, id="pure-drift"),
+    ])
+    def test_bit_equal_to_dense(self, monkeypatch, batch, model, spec, t, grid_size):
+        if batch is not None:
+            monkeypatch.setattr(levy_sim, "_BATCH", batch)
+        n, seed = 2500, 21
+        got = batch_integral_functionals(model, spec, t, n, seed, grid_size)
+        want = dense_batch_reference(model, spec, t, n, seed, grid_size)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
