@@ -225,7 +225,7 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
         return simulate_integrand(integrand, SimConfig(grid_size, seed, rep))
 
     region = EndpointExceedance(t, u, lambda s: s[0] > 0)
-    draws = n_mc if isinstance(integrand, ExpOUIntegrand) else 1
+    draws = n_mc if isinstance(integrand, ExpOUIntegrand) else min(n_mc, 1)
     return weighted_one_step_mass(measure, sampler, region, draws, seed).value
 
 

@@ -246,13 +246,8 @@ def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
             norms = np.linalg.norm(scaled, axis=1)
             ok = norms > 0
             if region.predicate is not None:
-                # one call per bitwise-distinct direction, not per time point
-                dirs = scaled[ok] / norms[ok, None]
-                bits, inverse = np.unique(dirs.view(np.uint64), axis=0,
-                                          return_inverse=True)
-                hit = np.array([region.predicate(u) for u in bits.view(np.float64)],
-                               dtype=bool)
-                ok[ok] = hit[inverse.reshape(-1)]
+                for i in np.nonzero(ok)[0]:
+                    ok[i] = region.predicate(scaled[i] / norms[i])
             g += c * w * np.where(ok, norms ** a, 0.0)
         if isinstance(region, EndpointExceedance):
             return g * region.u ** (-a), region.t

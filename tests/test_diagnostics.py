@@ -384,7 +384,7 @@ class TestAnalyticPrediction:
         assert v == pytest.approx(0.016377854262808043, abs=1e-8)
 
 
-    @pytest.mark.parametrize("n_mc", [1, 257, 2048])
+    @pytest.mark.parametrize("n_mc", [0, 1, 257, 2048])
     @pytest.mark.parametrize("integrand", [
         pytest.param(ConstantIntegrand([0.7]), id="constant"),
         pytest.param(DeterministicIntegrand.exponential(1.0, -1.0), id="deterministic"),
@@ -393,15 +393,22 @@ class TestAnalyticPrediction:
     def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc):
         # a constant or deterministic integrand is drawn once: n_mc equal
         # draws, merged over 256-draw chunks past 256, have exactly the one
-        # draw's value as their mean
+        # draw's value as their mean; no draws is rejected by both
         m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
         sampler = lambda rng: simulate_integrand(
             integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62))))
         region = EndpointExceedance(0.75, 4.0, lambda s: s[0] > 0)
+        predict = lambda: analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
+                                              grid_size=64)
+        if n_mc == 0:
+            for call in (lambda: weighted_one_step_mass(m, sampler, region, 0, seed=3),
+                         predict):
+                with pytest.raises(ValueError):
+                    call()
+            return
         full = weighted_one_step_mass(m, sampler, region, n_mc, seed=3)
         assert full.n == n_mc
-        assert analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
-                                   grid_size=64) == full.value
+        assert predict() == full.value
 
 
 class TestMaximalProductBound:

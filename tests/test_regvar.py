@@ -7,8 +7,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, SimConfig, simulate_integrand)
 from bigjump.regvar import (EndpointExceedance, RadialCone, RegVarMeasure,
                             RunningSupExceedance, ScalingSequence, SupExceedance,
-                            _weighted_inner_profile, mu_tail, one_step_mass,
-                            weighted_one_step_mass)
+                            mu_tail, one_step_mass, weighted_one_step_mass)
 
 POS = lambda s: s[0] > 0
 
@@ -173,68 +172,3 @@ class TestWeightedOneStepMass:
         with pytest.raises(ValueError):
             weighted_one_step_mass(two_sided(), _const_sampler([1.0]),
                                    SupExceedance(1.0), 0, seed=1)
-
-
-def per_point_profile(measure, values, region):
-    """The cone-kind inner profile with the direction predicate called at
-    every time point, one unit direction at a time: the reference for
-    ``_weighted_inner_profile``."""
-    a, c = measure.alpha, measure.intensity_c
-    g = np.zeros(values.shape[0])
-    for s, w in measure.spectral:
-        scaled = values * s
-        norms = np.linalg.norm(scaled, axis=1)
-        ok = norms > 0
-        for i in np.nonzero(ok)[0]:
-            ok[i] = region.predicate(scaled[i] / norms[i])
-        g += c * w * np.where(ok, norms ** a, 0.0)
-    level = region.u if isinstance(region, EndpointExceedance) else region.r
-    return g * level ** (-a)
-
-
-def _counting(predicate):
-    calls = []
-    def counted(s):
-        calls.append(s.copy())
-        return predicate(s)
-    return counted, calls
-
-
-class TestInnerProfilePredicate:
-    """One predicate call per distinct direction, the per-point profile's bits."""
-
-    SIGN_BIT = staticmethod(lambda s: math.copysign(1.0, s[-1]) > 0)
-
-    @pytest.mark.parametrize("region_of", [
-        lambda p: EndpointExceedance(0.8, 3.0, p), lambda p: RadialCone(2.0, p)],
-        ids=["endpoint", "radial-cone"])
-    def test_one_dimensional_two_sided(self, region_of):
-        m = two_sided(alpha=1.3, c=2.0, w_pos=0.7)
-        t = np.linspace(0.0, 1.0, 513)
-        values = np.concatenate([np.sin(7 * t), [0.0, -0.0, 2.5, -2.5]])[:, None]
-        for predicate in (POS, self.SIGN_BIT):
-            counted, calls = _counting(predicate)
-            region = region_of(counted)
-            got, _ = _weighted_inner_profile(m, values, region)
-            assert len(calls) <= 2 * len(m.spectral)
-            want = per_point_profile(m, values, region_of(predicate))
-            assert np.array_equal(got, want) and np.any(want > 0)
-
-    def test_two_dimensional_half_plane(self):
-        m = RegVarMeasure(1.5, 1.0, [([0.6, 0.8], 0.25), ([-0.8, 0.6], 0.25),
-                                     ([-0.6, -0.8], 0.25), ([0.8, -0.6], 0.25)])
-        rng = np.random.default_rng(4)
-        values = rng.standard_normal((400, 2))
-        values[::7, 0] = 0.0
-        values[::11, 1] = -0.0  # directions (+-1, -0.0) and (+-1, 0.0) ...
-        values[5::11, 1] = 0.0  # ... which the sign-bit predicate tells apart
-        values[::13] = 0.0
-        values[::17] = values[1]  # repeated directions
-        half_plane = lambda s: s[0] + 0.5 * s[1] > 0
-        off_centre = lambda s: s[0] > 0.5  # not invariant under scaling
-        for predicate in (half_plane, off_centre, self.SIGN_BIT):
-            got, horizon = _weighted_inner_profile(
-                m, values, EndpointExceedance(0.6, 2.0, predicate))
-            want = per_point_profile(m, values, EndpointExceedance(0.6, 2.0, predicate))
-            assert horizon == 0.6
-            assert np.array_equal(got, want) and np.any(want > 0)
