@@ -3,9 +3,8 @@ cadlag path metrics and one-big-jump Monte Carlo diagnostics."""
 
 __version__ = "0.1.0"
 
-from .cadlag import (CadlagPath, TimeChange, cw_product, gamma_oscillation,
-                     j1_distance, j1_within, largest_jump_time, one_step_approx,
-                     sup_norm, uniform_distance)
+from .cadlag import (CadlagPath, cw_product, j1_distance, j1_within,
+                     largest_jump_time, one_step_approx, sup_norm, uniform_distance)
 from .diagnostics import (ConditionalDistanceCurve, HillEstimate, RatioEstimate,
                           TailEstimate, TrendPoint, analytic_prediction,
                           breiman_ratio, double_jump_trend, hill,
@@ -17,7 +16,6 @@ from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand
                        assemble_levy_path, batch_integral_functionals,
                        integrand_from_dict, one_jump_integral, simulate_big_jumps,
                        simulate_integrand, simulate_levy_path, simulate_small_part,
-                       stochastic_integral, threshold_jumps)
-from .regvar import (EndpointExceedance, Estimate, RadialCone, RegVarMeasure,
-                     RunningSupExceedance, ScalingSequence, SetDescriptor,
-                     SupExceedance, mu_tail, one_step_mass, weighted_one_step_mass)
+                       stochastic_integral)
+from .regvar import (EndpointExceedance, Estimate, RegVarMeasure, ScalingSequence,
+                     mu_tail, weighted_one_step_mass)

@@ -1,8 +1,11 @@
 """Counter-based random-number streams and the chunk driver.
 
 Every stochastic routine in the package draws from a Philox generator keyed
-by (seed, replicate_index, stream_tag).  Philox is counter-based, so streams
-for distinct keys are independent and a replicate can be regenerated in
+by (seed, replicate_index, stream_tag).  The second key word packs the index
+into its top 61 bits and the tag into its low 3, so indices lie in
+[0, 2**61) and tags in [0, 8); a key outside those ranges is rejected rather
+than wrapped onto another stream.  Philox is counter-based, so streams for
+distinct keys are independent and a replicate can be regenerated in
 isolation, bit for bit.  ``diagnostics.one_big_jump_curve`` relies on this:
 it screens replicates in vectorized form from their regenerated draws and
 rebuilds exact paths, from the same keys, only for the few survivors.
@@ -48,8 +51,11 @@ _MASK = (1 << 64) - 1
 
 
 def _key(seed: int, replicate_index: int, tag: int) -> np.ndarray:
-    return np.array([seed & _MASK, ((replicate_index << 3) | tag) & _MASK],
-                    dtype=np.uint64)
+    if not 0 <= replicate_index < 1 << 61:
+        raise ValueError(f"replicate index must lie in [0, 2**61), got {replicate_index}")
+    if not 0 <= tag < 8:
+        raise ValueError(f"stream tag must lie in [0, 8), got {tag}")
+    return np.array([seed & _MASK, (replicate_index << 3) | tag], dtype=np.uint64)
 
 
 def substream(seed: int, replicate_index: int = 0, tag: int = 0) -> np.random.Generator:

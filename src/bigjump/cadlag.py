@@ -27,9 +27,7 @@ it as infinite, and its verdict equals ``j1_distance(x, y) <= eps``.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -169,36 +167,6 @@ class CadlagPath:
                           self.jump_sizes * factor if len(self.jump_times) else _EMPTY.copy(),
                           self.caglad)
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.dimension,
-            "grid": [float(t) for t in self.grid],
-            "values": [[float(v) for v in row] for row in self.values],
-            "jumps": [{"t": float(t), "size": [float(v) for v in s]}
-                      for t, s in zip(self.jump_times, self.jump_sizes)],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CadlagPath":
-        return cls.from_samples(obj["grid"], obj["values"],
-                                [(j["t"], j["size"]) for j in obj["jumps"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CadlagPath":
-        return cls.from_dict(json.loads(text))
-
-    def write_csv(self, fh, header_comment: Optional[str] = None) -> None:
-        """One row per grid time: t, value components."""
-        writer = csv.writer(fh)
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer.writerow(["t"] + [f"x{k}" for k in range(self.dimension)])
-        for t, row in zip(self.grid, self.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
 
 # ---------------------------------------------------------------------------
 # Path functionals
@@ -226,26 +194,6 @@ def one_step_approx(x: CadlagPath) -> CadlagPath:
     norms = np.linalg.norm(x.jump_sizes, axis=1)
     k = int(np.argmax(norms))
     return CadlagPath.step(float(x.jump_times[k]), x.jump_sizes[k])
-
-
-def gamma_oscillation(x: CadlagPath, gamma: float) -> int:
-    """Largest p with grid times t_0 < ... < t_p and |x_{t_i} - x_{t_{i-1}}| > gamma.
-
-    Candidate times are the grid times (where the path attains its sampled
-    values); the maximum chain length is found by an exact longest-chain scan,
-    since a greedy anchor walk can undercount.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    v = x.values
-    m = len(v)
-    best = np.zeros(m, dtype=int)
-    for j in range(1, m):
-        d = np.linalg.norm(v[:j] - v[j], axis=1)
-        reach = d > gamma
-        if reach.any():
-            best[j] = best[:j][reach].max() + 1
-    return int(best.max())
 
 
 def cw_product(y: CadlagPath, x: CadlagPath) -> CadlagPath:
@@ -286,41 +234,8 @@ def uniform_distance(x: CadlagPath, y: CadlagPath) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Time changes and the J1 distance
+# The J1 distance
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimeChange:
-    """Strictly increasing piecewise-linear bijection of [0, 1] onto itself."""
-
-    breakpoints: np.ndarray
-    images: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        u = np.asarray(self.images, dtype=float)
-        for name, arr in (("breakpoints", b), ("images", u)):
-            if arr.ndim != 1 or len(arr) < 2 or arr[0] != 0.0 or arr[-1] != 1.0:
-                raise ValueError(f"{name} must run from 0 to 1")
-            if np.any(np.diff(arr) <= 0):
-                raise ValueError(f"{name} must be strictly increasing")
-        if len(b) != len(u):
-            raise ValueError("breakpoints and images must have equal length")
-        b.flags.writeable = False
-        u.flags.writeable = False
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "images", u)
-
-    def apply(self, t):
-        return np.interp(t, self.breakpoints, self.images)
-
-    def inverse(self) -> "TimeChange":
-        return TimeChange(self.images, self.breakpoints)
-
-    def distortion(self) -> float:
-        """max |lambda(t) - t|; attained at a breakpoint by piecewise linearity."""
-        return float(np.abs(self.images - self.breakpoints).max())
-
 
 @functools.lru_cache(maxsize=32)
 def _dyadic_points(count: int) -> np.ndarray:

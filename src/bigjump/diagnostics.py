@@ -26,10 +26,8 @@ from .cadlag import (CadlagPath, j1_within, one_step_approx, sup_norm,
                      uniform_distance)
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
                        _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
-                       assemble_levy_path, batch_integral_functionals,
-                       one_jump_integral, simulate_big_jumps,
-                       simulate_integrand, simulate_small_part,
-                       stochastic_integral)
+                       batch_integral_functionals, one_jump_integral,
+                       simulate_integrand, simulate_levy_path, stochastic_integral)
 from .regvar import EndpointExceedance, RegVarMeasure, ScalingSequence
 
 BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -221,7 +219,9 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
     from .regvar import weighted_one_step_mass
 
     def sampler(rng: np.random.Generator) -> CadlagPath:
-        rep = int(rng.integers(0, 2 ** 62))
+        # stream keys take indices below 2**61; the reduction keeps the keys
+        # that the indices drawn from [0, 2**62) always mapped to
+        rep = int(rng.integers(0, 2 ** 62)) % 2 ** 61
         return simulate_integrand(integrand, SimConfig(grid_size, seed, rep))
 
     region = EndpointExceedance(t, u, lambda s: s[0] > 0)
@@ -446,8 +446,7 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 
     def exact(rep: int, counts: np.ndarray) -> None:
         cfg = SimConfig(grid_size, seed, rep)
-        jumps = simulate_big_jumps(model, cfg)
-        x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+        x, jumps = simulate_levy_path(model, cfg)
         if integrand is None:
             w, wa = x, one_step_approx(x)
         else:

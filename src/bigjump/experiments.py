@@ -30,9 +30,8 @@ from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
 from .levy_sim import (ConstantIntegrand, LevyModel, SimConfig, _pareto_radii,
-                       assemble_levy_path, batch_integral_functionals, integrand_from_dict,
-                       one_jump_integral, simulate_big_jumps, simulate_integrand,
-                       simulate_small_part, stochastic_integral)
+                       batch_integral_functionals, integrand_from_dict, one_jump_integral,
+                       simulate_integrand, simulate_levy_path, stochastic_integral)
 from .regvar import RegVarMeasure
 
 
@@ -357,8 +356,7 @@ def _run_paths(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
     names = []
     for rep in range(spec.n_paths):
         cfg = SimConfig(spec.grid_size, spec.seed, rep)
-        jumps = simulate_big_jumps(spec.model, cfg)
-        x = assemble_levy_path(simulate_small_part(spec.model, cfg), jumps)
+        x, jumps = simulate_levy_path(spec.model, cfg)
         y = simulate_integrand(spec.integrand, cfg, times=[j.time for j in jumps])
         w = stochastic_integral(y, x)
         wa = one_jump_integral(y, x)

@@ -18,7 +18,6 @@ paths and distinct replicate indices give independent replicates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 
 from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, substream
 from .cadlag import CadlagPath, largest_jump_time
-from .regvar import RegVarMeasure, ScalingSequence
+from .regvar import RegVarMeasure
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,6 @@ class LevyModel:
         return RegVarMeasure(self.radial_alpha, self.big_jump_intensity,
                              [(s, w) for s, w in self.spectral])
 
-    def scaling_sequence(self) -> ScalingSequence:
-        return ScalingSequence(self.radial_alpha, self.big_jump_intensity)
-
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -101,13 +97,6 @@ class LevyModel:
         return cls(obj["dimension"], obj["big_jump_intensity"], obj["radial_alpha"],
                    [(a["dir"], a["w"]) for a in obj["spectral"]],
                    obj.get("diffusion"), obj.get("drift"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "LevyModel":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -172,8 +161,8 @@ class DeterministicIntegrand:
 
     @classmethod
     def exponential(cls, scale: float = 1.0, rate: float = 0.0) -> "DeterministicIntegrand":
-        if scale == 0:
-            raise ValueError("scale must be nonzero")
+        if scale == 0 or not (math.isfinite(scale) and math.isfinite(rate)):
+            raise ValueError("scale must be finite and nonzero, and rate finite")
         return cls(lambda t: scale * np.exp(rate * np.asarray(t)),
                    {"variant": "deterministic", "form": "exp",
                     "scale": float(scale), "rate": float(rate)})
@@ -199,10 +188,10 @@ class ExpOUIntegrand:
     initial: float = 1.0
 
     def __post_init__(self):
-        if self.rate < 0 or self.vol < 0:
-            raise ValueError("rate and vol must be nonnegative")
-        if self.initial <= 0:
-            raise ValueError("initial value must be positive")
+        if not (0 <= self.rate < math.inf and 0 <= self.vol < math.inf):
+            raise ValueError("rate and vol must be finite and nonnegative")
+        if not 0 < self.initial < math.inf:
+            raise ValueError("initial value must be finite and positive")
 
     def to_dict(self) -> dict:
         return {"variant": "exp_ou", "rate": self.rate, "vol": self.vol,
@@ -395,17 +384,6 @@ def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
     tau = largest_jump_time(x)
     k = int(np.searchsorted(x.jump_times, tau))
     return CadlagPath.step(tau, y.left_limit_at(tau) * x.jump_sizes[k])
-
-
-def threshold_jumps(jumps: Sequence[JumpRecord], n: int, beta: float,
-                    seq: ScalingSequence) -> tuple[list[JumpRecord], list[JumpRecord], int]:
-    """Partition jumps at the threshold a(n)**beta; returns (big, small, count)."""
-    if not 0.5 < beta < 1.0:
-        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
-    thr = seq.value(n) ** beta
-    big = [j for j in jumps if np.linalg.norm(j.size) > thr]
-    small = [j for j in jumps if np.linalg.norm(j.size) <= thr]
-    return big, small, len(big)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,20 @@
 A heavy-tailed limit measure on punctured d-space is stored in polar form:
 tail index ``alpha``, intensity ``c`` and a discrete spectral measure (unit
 directions with weights).  The measure of the cone ``{x: |x| > r, x/|x| in A}``
-is ``c * r**-alpha * sigma(A)``, exactly.  Radial tails are exact power laws
-(slowly varying factor fixed to a constant), so every asymptotic statement
-downstream becomes a testable rate statement.
+is ``c * r**-alpha * sigma(A)``, exactly (:func:`mu_tail`).  Radial tails are
+exact power laws (slowly varying factor fixed to a constant), so every
+asymptotic statement downstream becomes a testable rate statement.
 
 On path space the induced limit measure lives on single-step paths
 ``y * 1_[v,1]`` with uniform step time ``v`` and step size distributed like the
-d-space measure; :func:`one_step_mass` evaluates it in closed form for the
-supported path-set descriptors.  :func:`weighted_one_step_mass` evaluates the
-integrand-weighted variant (steps scaled by an independent path Y sampled at
-the step time) by Monte Carlo over Y with the step time integrated out
-exactly, so all sampling variance comes from Y alone.
+d-space measure.  :func:`weighted_one_step_mass` evaluates the mass of an
+endpoint exceedance under its integrand-weighted variant (steps scaled by an
+independent path Y sampled at the step time) by Monte Carlo over Y with the
+step time integrated out exactly, so all sampling variance comes from Y alone.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -75,44 +73,16 @@ class RegVarMeasure:
     def dimension(self) -> int:
         return self.spectral[0][0].shape[0]
 
-    def spectral_mass(self, predicate: Optional[DirectionPredicate] = None) -> float:
-        """Total spectral weight of the directions satisfying ``predicate``."""
-        if predicate is None:
-            return sum(w for _, w in self.spectral)
-        return sum(w for s, w in self.spectral if predicate(s))
-
-    def tail_mass(self, r: float, predicate: Optional[DirectionPredicate] = None) -> float:
-        """Mass of the radial cone {x: |x| > r, x/|x| in A}: c * r**-alpha * sigma(A)."""
-        if r <= 0:
-            raise ValueError(f"radius must be positive, got {r}")
-        return self.intensity_c * r ** (-self.alpha) * self.spectral_mass(predicate)
-
-    # -- JSON wire format: {alpha, c, spectral: [{dir: [...], w}]} ----------
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c": self.intensity_c,
-            "spectral": [{"dir": list(map(float, s)), "w": w} for s, w in self.spectral],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RegVarMeasure":
-        return cls(obj["alpha"], obj["c"],
-                   [(a["dir"], a["w"]) for a in obj["spectral"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegVarMeasure":
-        return cls.from_dict(json.loads(text))
-
 
 def mu_tail(measure: RegVarMeasure, r: float,
             direction_predicate: Optional[DirectionPredicate] = None) -> float:
-    """Cone mass of the d-space limit measure; see :meth:`RegVarMeasure.tail_mass`."""
-    return measure.tail_mass(r, direction_predicate)
+    """Mass of the radial cone {x: |x| > r, x/|x| in A}: c * r**-alpha * sigma(A),
+    with A the directions satisfying ``direction_predicate`` (all by default)."""
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    sigma = sum(w for s, w in measure.spectral
+                if direction_predicate is None or direction_predicate(s))
+    return measure.intensity_c * r ** (-measure.alpha) * sigma
 
 
 @dataclass(frozen=True)
@@ -136,20 +106,6 @@ class ScalingSequence:
         return (self.intensity_c * n) ** (1.0 / self.alpha)
 
 
-# ---------------------------------------------------------------------------
-# Path-set descriptors, all bounded away from the zero path.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupExceedance:
-    """{x : sup-norm of x > u}."""
-    u: float
-
-    def __post_init__(self):
-        if self.u <= 0:
-            raise ValueError("exceedance level must be positive")
-
-
 @dataclass(frozen=True)
 class EndpointExceedance:
     """{x : x_t lands in the radial cone of level u (optional direction predicate)}."""
@@ -165,58 +121,6 @@ class EndpointExceedance:
 
 
 @dataclass(frozen=True)
-class RunningSupExceedance:
-    """{x : sup of the signed scalar path over [0, t] > u}; one-dimensional paths."""
-    t: float
-    u: float
-    predicate: Optional[DirectionPredicate] = None
-
-    def __post_init__(self):
-        if self.u <= 0:
-            raise ValueError("exceedance level must be positive")
-        if not 0 < self.t <= 1:
-            raise ValueError("time must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class RadialCone:
-    """{x : step amplitude in the cone of radius r (optional direction predicate)}."""
-    r: float
-    predicate: Optional[DirectionPredicate] = None
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("cone radius must be positive")
-
-
-SetDescriptor = SupExceedance | EndpointExceedance | RunningSupExceedance | RadialCone
-
-
-def one_step_mass(measure: RegVarMeasure, region: SetDescriptor) -> float:
-    """Closed-form mass of ``region`` under the one-step path limit measure.
-
-    The measure charges single-step paths with uniform step time on [0, 1]
-    and step size drawn from ``measure``; its t-sections equal t times the
-    d-space measure.  Only the four descriptor kinds are supported.
-    """
-    a, c = measure.alpha, measure.intensity_c
-    if isinstance(region, SupExceedance):
-        # a one-step path has sup norm equal to its step radius, for any step time
-        return c * region.u ** (-a) * measure.spectral_mass()
-    if isinstance(region, EndpointExceedance):
-        return region.t * c * region.u ** (-a) * measure.spectral_mass(region.predicate)
-    if isinstance(region, RunningSupExceedance):
-        if measure.dimension != 1:
-            raise ValueError("running-sup exceedance is defined for one-dimensional paths")
-        sigma = sum(w for s, w in measure.spectral
-                    if s[0] > 0 and (region.predicate is None or region.predicate(s)))
-        return region.t * c * region.u ** (-a) * sigma
-    if isinstance(region, RadialCone):
-        return c * region.r ** (-a) * measure.spectral_mass(region.predicate)
-    raise ValueError(f"unsupported set descriptor: {type(region).__name__}")
-
-
-@dataclass(frozen=True)
 class Estimate:
     """Monte Carlo point estimate with standard error."""
     value: float
@@ -225,44 +129,24 @@ class Estimate:
 
 
 def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
-                            region: SetDescriptor) -> tuple[np.ndarray, float]:
+                            region: EndpointExceedance) -> np.ndarray:
     """Per-time inner cone mass for a step scaled by the integrand values.
 
     ``values`` has shape (m, d): the integrand path sampled at m time points.
-    Returns the inner-mass profile g(v_i) and the time horizon (1 for kinds
-    insensitive to the step time, t for the endpoint/running-sup kinds), so the
-    region mass is the integral of g over [0, horizon].
+    Returns the inner-mass profile g(v_i), so the region mass is the integral
+    of g over [0, region.t].
     """
     a, c = measure.alpha, measure.intensity_c
-    m = values.shape[0]
-    g = np.zeros(m)
-    if isinstance(region, SupExceedance):
-        for s, w in measure.spectral:
-            g += c * w * np.linalg.norm(values * s, axis=1) ** a
-        return g * region.u ** (-a), 1.0
-    if isinstance(region, (EndpointExceedance, RadialCone)):
-        for s, w in measure.spectral:
-            scaled = values * s
-            norms = np.linalg.norm(scaled, axis=1)
-            ok = norms > 0
-            if region.predicate is not None:
-                for i in np.nonzero(ok)[0]:
-                    ok[i] = region.predicate(scaled[i] / norms[i])
-            g += c * w * np.where(ok, norms ** a, 0.0)
-        if isinstance(region, EndpointExceedance):
-            return g * region.u ** (-a), region.t
-        return g * region.r ** (-a), 1.0
-    if isinstance(region, RunningSupExceedance):
-        if values.shape[1] != 1:
-            raise ValueError("running-sup exceedance is defined for one-dimensional paths")
-        for s, w in measure.spectral:
-            prod = values[:, 0] * s[0]
-            ok = prod > 0
-            if region.predicate is not None and not region.predicate(s):
-                ok = np.zeros_like(ok)
-            g += c * w * np.where(ok, np.abs(prod) ** a, 0.0)
-        return g * region.u ** (-a), region.t
-    raise ValueError(f"unsupported set descriptor: {type(region).__name__}")
+    g = np.zeros(values.shape[0])
+    for s, w in measure.spectral:
+        scaled = values * s
+        norms = np.linalg.norm(scaled, axis=1)
+        ok = norms > 0
+        if region.predicate is not None:
+            for i in np.nonzero(ok)[0]:
+                ok[i] = region.predicate(scaled[i] / norms[i])
+        g += c * w * np.where(ok, norms ** a, 0.0)
+    return g * region.u ** (-a)
 
 
 def _trapezoid_to(grid: np.ndarray, g: np.ndarray, t: float) -> float:
@@ -280,7 +164,7 @@ def _trapezoid_to(grid: np.ndarray, g: np.ndarray, t: float) -> float:
 
 def weighted_one_step_mass(measure: RegVarMeasure,
                            integrand_sampler: Callable[[np.random.Generator], object],
-                           region: SetDescriptor,
+                           region: EndpointExceedance,
                            n_mc: int,
                            seed: int) -> Estimate:
     """Mass of ``region`` under the integrand-weighted one-step limit measure.
@@ -304,8 +188,8 @@ def weighted_one_step_mass(measure: RegVarMeasure,
             values = np.asarray(path.values, dtype=float)
             if values.ndim == 1:
                 values = values[:, None]
-            g, horizon = _weighted_inner_profile(measure, values, region)
-            x = _trapezoid_to(grid, g, horizon)
+            x = _trapezoid_to(grid, _weighted_inner_profile(measure, values, region),
+                              region.t)
             count += 1
             delta = x - mean
             mean += delta / count

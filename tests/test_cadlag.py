@@ -1,13 +1,10 @@
-import io
-import itertools
-
 import numpy as np
 import pytest
 
 from bigjump import cadlag
-from bigjump.cadlag import (CadlagPath, TimeChange, cw_product, gamma_oscillation,
-                            j1_distance, j1_within, largest_jump_time,
-                            one_step_approx, sup_norm, uniform_distance)
+from bigjump.cadlag import (CadlagPath, cw_product, j1_distance, j1_within,
+                            largest_jump_time, one_step_approx, sup_norm,
+                            uniform_distance)
 from bigjump.levy_sim import (LevyModel, SimConfig, assemble_levy_path, simulate_big_jumps,
                               simulate_small_part)
 
@@ -46,23 +43,6 @@ class TestConstruction:
         assert p.value_at(0.5) == 3.0
         # drift on [0, 0.5) interpolates linearly toward the left limit
         assert p.value_at(0.25) == pytest.approx(0.5)
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(3)
-        p = random_step_path(rng, d=2)
-        q = CadlagPath.from_json(p.to_json())
-        assert np.array_equal(p.grid, q.grid)
-        assert np.array_equal(p.values, q.values)
-        assert np.array_equal(p.jump_sizes, q.jump_sizes)
-
-    def test_csv_export(self):
-        p = CadlagPath.step(0.5, [1.0, -2.0])
-        buf = io.StringIO()
-        p.write_csv(buf, header_comment="config_hash=abc")
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "# config_hash=abc"
-        assert lines[1] == "t,x0,x1"
-        assert len(lines) == 2 + len(p.grid)
 
 
 class TestFunctionals:
@@ -122,46 +102,6 @@ class TestFunctionals:
         assert largest_jump_time(a) == largest_jump_time(x)
 
 
-class TestGammaOscillation:
-    def test_zero_path(self):
-        assert gamma_oscillation(CadlagPath.zero(1), 0.4) == 0
-
-    def test_unit_step(self):
-        assert gamma_oscillation(CadlagPath.step(0.5, [1.0]), 0.5) == 1
-
-    def test_staircase(self):
-        p = CadlagPath.from_samples(
-            [0, 0.25, 0.5, 0.75, 1.0], [[0], [1], [2], [3], [3]],
-            [(0.25, [1.0]), (0.5, [1.0]), (0.75, [1.0])])
-        assert gamma_oscillation(p, 0.5) == 3
-
-    def test_matches_exhaustive_search(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            p = random_step_path(rng, max_jumps=4)
-            gamma = float(rng.uniform(0.2, 1.5))
-            vals = p.values
-            best = 0
-            idx = range(len(vals))
-            for r in range(2, len(vals) + 1):
-                for combo in itertools.combinations(idx, r):
-                    if all(np.linalg.norm(vals[b] - vals[a]) > gamma
-                           for a, b in zip(combo, combo[1:])):
-                        best = max(best, r - 1)
-            assert gamma_oscillation(p, gamma) == best
-
-    def test_nonincreasing_in_gamma(self):
-        rng = np.random.default_rng(8)
-        p = random_step_path(rng, max_jumps=4)
-        gammas = [0.1, 0.3, 0.6, 1.0, 2.0]
-        counts = [gamma_oscillation(p, g) for g in gammas]
-        assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-    def test_requires_positive_gamma(self):
-        with pytest.raises(ValueError):
-            gamma_oscillation(CadlagPath.zero(1), 0.0)
-
-
 class TestProduct:
     def test_identity(self):
         rng = np.random.default_rng(2)
@@ -204,23 +144,6 @@ class TestProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             cw_product(CadlagPath.zero(2), CadlagPath.zero(1))
-
-
-class TestTimeChange:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeChange([0.0, 0.5, 1.0], [0.0, 0.5])
-        with pytest.raises(ValueError):
-            TimeChange([0.0, 0.6, 0.4, 1.0], [0.0, 0.3, 0.7, 1.0])
-        with pytest.raises(ValueError):
-            TimeChange([0.1, 1.0], [0.0, 1.0])
-
-    def test_apply_and_inverse(self):
-        lam = TimeChange([0.0, 0.3, 1.0], [0.0, 0.4, 1.0])
-        ts = np.linspace(0, 1, 21)
-        back = lam.inverse().apply(lam.apply(ts))
-        assert np.allclose(back, ts, atol=1e-14)
-        assert lam.distortion() == pytest.approx(0.1)
 
 
 class TestJ1:

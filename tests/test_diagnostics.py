@@ -13,7 +13,8 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, one_jump_integral,
                               simulate_big_jumps, simulate_integrand,
-                              simulate_small_part, stochastic_integral)
+                              simulate_levy_path, simulate_small_part,
+                              stochastic_integral)
 from bigjump.regvar import EndpointExceedance, RegVarMeasure, weighted_one_step_mass
 
 
@@ -309,13 +310,13 @@ class TestTwoPhaseScreening:
 
         def counting(m, cfg):
             rebuilt.append(cfg.replicate_index)
-            return simulate_big_jumps(m, cfg)
+            return simulate_levy_path(m, cfg)
 
         def counting_j1(*args):
             dp_calls.append(1)
             return j1_within(*args)
 
-        monkeypatch.setattr(diagnostics, "simulate_big_jumps", counting)
+        monkeypatch.setattr(diagnostics, "simulate_levy_path", counting)
         monkeypatch.setattr(diagnostics, "j1_within", counting_j1)
         if mode == "all-survive":
             monkeypatch.setattr(diagnostics, "_MARGIN", 1e9)
@@ -396,7 +397,7 @@ class TestAnalyticPrediction:
         # draw's value as their mean; no draws is rejected by both
         m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
         sampler = lambda rng: simulate_integrand(
-            integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62))))
+            integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62)) % 2 ** 61))
         region = EndpointExceedance(0.75, 4.0, lambda s: s[0] > 0)
         predict = lambda: analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
                                               grid_size=64)

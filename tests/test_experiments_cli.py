@@ -84,6 +84,10 @@ BAD_CONFIGS = [
     pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=float("nan"))),
                  id="intensity-nan"),
     pytest.param(obj_config(model=dict(MODEL, radial_alpha=float("nan"))), id="alpha-nan"),
+    pytest.param(tails_config(integrand=dict(EXP_OU, vol=float("nan"))), id="vol-nan"),
+    pytest.param(tails_config(integrand={"variant": "deterministic", "form": "exp",
+                                         "scale": float("inf"), "rate": -1.0}),
+                 id="scale-inf"),
 ]
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, SimConfig, simulate_integrand)
-from bigjump.regvar import (EndpointExceedance, RadialCone, RegVarMeasure,
-                            RunningSupExceedance, ScalingSequence, SupExceedance,
-                            mu_tail, one_step_mass, weighted_one_step_mass)
+from bigjump.regvar import (EndpointExceedance, RegVarMeasure, ScalingSequence,
+                            mu_tail, weighted_one_step_mass)
 
 POS = lambda s: s[0] > 0
 
@@ -52,19 +51,6 @@ class TestMeasure:
         with pytest.raises(ValueError):
             RegVarMeasure(1.0, 1.0, [([2.0], 1.0)])
 
-    def test_json_round_trip_bit_stable(self):
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        m = RegVarMeasure(rng.uniform(0.5, 3), rng.uniform(0.1, 5),
-                          [(v, 0.25), ((-v).tolist(), 0.75)])
-        m2 = RegVarMeasure.from_json(m.to_json())
-        assert m2.alpha == m.alpha and m2.intensity_c == m.intensity_c
-        for (s1, w1), (s2, w2) in zip(m.spectral, m2.spectral):
-            assert w1 == w2 and np.array_equal(s1, s2)
-        assert m.to_json() == m2.to_json()
-
-
 class TestScaling:
     def test_values(self):
         assert ScalingSequence(1.0, 1.0).value(100) == 100.0
@@ -84,41 +70,6 @@ class TestScaling:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-class TestOneStepMass:
-    def test_sup_exceedance(self):
-        # a one-step path has sup norm |y| whatever the step time
-        assert one_step_mass(one_sided(), SupExceedance(2.0)) == pytest.approx(
-            2.0 ** -1.5, abs=1e-15)
-
-    def test_endpoint_matches_cone_at_t1(self):
-        m = one_sided()
-        assert one_step_mass(m, EndpointExceedance(1.0, 2.0, POS)) == pytest.approx(
-            mu_tail(m, 2.0, POS), abs=1e-15)
-
-    def test_endpoint_linear_in_t(self):
-        m = one_sided()
-        full = one_step_mass(m, EndpointExceedance(1.0, 2.0, POS))
-        assert one_step_mass(m, EndpointExceedance(0.5, 2.0, POS)) == pytest.approx(
-            0.5 * full, abs=1e-15)
-        ts = [0.1, 0.3, 0.6, 0.9, 1.0]
-        vals = [one_step_mass(m, EndpointExceedance(t, 2.0, POS)) for t in ts]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert all(v == pytest.approx(t * full, abs=1e-15) for t, v in zip(ts, vals))
-
-    def test_running_sup_positive_directions_only(self):
-        m = two_sided()
-        up = one_step_mass(m, RunningSupExceedance(1.0, 2.0))
-        assert up == pytest.approx(0.5 * 2.0 ** -1.5, abs=1e-15)
-
-    def test_radial_cone(self):
-        m = two_sided(alpha=2.0, c=3.0)
-        assert one_step_mass(m, RadialCone(10.0, POS)) == pytest.approx(0.015, abs=1e-15)
-
-    def test_unsupported_kind(self):
-        with pytest.raises(ValueError, match="descriptor"):
-            one_step_mass(one_sided(), "not a set")
-
-
 def _const_sampler(value, grid_size=64):
     cfg = SimConfig(grid_size=grid_size, seed=1)
     return lambda rng: simulate_integrand(ConstantIntegrand(value), cfg)
@@ -126,13 +77,15 @@ def _const_sampler(value, grid_size=64):
 
 class TestWeightedOneStepMass:
     def test_unit_integrand_reproduces_unweighted(self):
-        # zero-variance case: Y == 1 must match the closed form on every kind
+        # zero-variance case: Y == 1 must match t times the cone mass, on and
+        # off the grid, with and without a direction predicate
         m = two_sided()
-        regions = [SupExceedance(2.0), EndpointExceedance(0.5, 2.0, POS),
-                   RunningSupExceedance(0.7, 3.0), RadialCone(1.5, POS)]
+        regions = [EndpointExceedance(1.0, 2.0), EndpointExceedance(0.5, 2.0, POS),
+                   EndpointExceedance(0.7, 3.0), EndpointExceedance(0.3, 1.5, POS)]
         for region in regions:
             est = weighted_one_step_mass(m, _const_sampler([1.0]), region, 40, seed=3)
-            assert est.value == pytest.approx(one_step_mass(m, region), abs=1e-12)
+            assert est.value == pytest.approx(region.t * mu_tail(m, region.u, region.predicate),
+                                              abs=1e-12)
             assert est.stderr == 0.0
 
     def test_constant_scales_power_law(self):
@@ -142,13 +95,13 @@ class TestWeightedOneStepMass:
                                      EndpointExceedance(1.0, 2.0, POS), 20, seed=3)
         assert est.value == pytest.approx(y0 ** 1.5 * 2.0 ** -1.5, rel=1e-12)
 
-    def test_exponential_integrand_running_sup(self):
+    def test_exponential_integrand_endpoint(self):
         # frozen from the analytic integral of exp(-alpha s) over [0, 1]
         m = one_sided()
         cfg = SimConfig(grid_size=4096, seed=1)
         sampler = lambda rng: simulate_integrand(
             DeterministicIntegrand.exponential(1.0, -1.0), cfg)
-        est = weighted_one_step_mass(m, sampler, RunningSupExceedance(1.0, 10.0, POS),
+        est = weighted_one_step_mass(m, sampler, EndpointExceedance(1.0, 10.0, POS),
                                      4, seed=5)
         assert est.value == pytest.approx(0.016377854262808043, abs=1e-8)
         assert est.stderr == 0.0
@@ -158,9 +111,9 @@ class TestWeightedOneStepMass:
         spec = ExpOUIntegrand(rate=1.0, vol=0.6, initial=1.0)
 
         def sampler(rng):
-            return simulate_integrand(spec, SimConfig(64, 9, int(rng.integers(2 ** 62))))
+            return simulate_integrand(spec, SimConfig(64, 9, int(rng.integers(2 ** 62)) % 2 ** 61))
 
-        region = SupExceedance(2.0)
+        region = EndpointExceedance(1.0, 2.0)
         a = weighted_one_step_mass(m, sampler, region, 300, seed=17)
         b = weighted_one_step_mass(m, sampler, region, 300, seed=17)
         assert a == b
@@ -171,4 +124,4 @@ class TestWeightedOneStepMass:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             weighted_one_step_mass(two_sided(), _const_sampler([1.0]),
-                                   SupExceedance(1.0), 0, seed=1)
+                                   EndpointExceedance(1.0, 1.0), 0, seed=1)
