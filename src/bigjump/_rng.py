@@ -23,14 +23,18 @@ returns the results in chunk order, so a merge over them is the same for any
 - ``breiman_ratio``: (seed, index, AUX_STREAM) for X and
   (seed, index, AUX_STREAM + 1) for Y;
 - ``double_jump_trend``: one stream (seed, i, AUX_STREAM) per ``n_values``
-  entry i, read on through its chunks in order;
+  entry i, read on through its chunks in order, so the entries, not the
+  chunks, are what it splits over threads (a ``chunks`` of size 1 over the
+  entries, each running its own chunks on one thread);
 - ``weighted_one_step_mass``: (seed, start, AUX_STREAM);
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag;
 - ``one_big_jump_curve``: blocks and their screening sub-blocks draw each
   replicate r from (seed, r, tag), so the split does not show in its counts.
 
-The last two are the only callers with ``threads`` > 1; the batch sampler
-gets it from the tails and tail-equivalence kinds.
+Every caller but ``tail_prob`` and ``weighted_one_step_mass`` runs on
+``threads`` > 1 when ``bigjump run --threads`` asks for it: the one-big-jump
+blocks, the batch sampler (tails and tail-equivalence), ``breiman_ratio``,
+and ``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks).
 """
 
 from __future__ import annotations

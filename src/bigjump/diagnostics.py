@@ -178,8 +178,10 @@ def _delta_ratio(u: float, a: int, b: int, ab: int, n: int) -> RatioEstimate:
 
 
 def breiman_ratio(x_sampler: BatchSampler, y_sampler: BatchSampler,
-                  levels: Sequence[float], n: int, seed: int) -> list[RatioEstimate]:
-    """P(YX > u) / P(X > u) on shared X replicates, per level."""
+                  levels: Sequence[float], n: int, seed: int,
+                  threads: int = 1) -> list[RatioEstimate]:
+    """P(YX > u) / P(X > u) on shared X replicates, per level; the chunks run
+    on ``threads`` threads, with the same result."""
     levels = list(levels)
 
     def counts(i: int, start: int, stop: int) -> np.ndarray:
@@ -187,7 +189,7 @@ def breiman_ratio(x_sampler: BatchSampler, y_sampler: BatchSampler,
         yx = y_sampler(substream(seed, i, AUX_STREAM + 1), stop - start) * x
         return np.array([_joint_counts(yx, x, u) for u in levels])
 
-    total = np.sum(chunks(n, _CHUNK, counts), axis=0)
+    total = np.sum(chunks(n, _CHUNK, counts, threads), axis=0)
     return [_delta_ratio(u, *total[i], n) for i, u in enumerate(levels)]
 
 
@@ -507,15 +509,16 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 def maximal_product_bound(count_sampler: BatchSampler,
                           y_builder: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           z_sampler: Callable[[np.random.Generator, tuple], np.ndarray],
-                          n_trials: int, x_level: float,
-                          seed: int) -> tuple[TailEstimate, TailEstimate]:
+                          n_trials: int, x_level: float, seed: int,
+                          threads: int = 1) -> tuple[TailEstimate, TailEstimate]:
     """Both sides of the decoupled maximal-product tail bound.
 
     Estimates lhs = P(sum_{k<=N} Y_k Z_k > x) and rhs = P(N max_k Y_k Z~_k > x)
     where (Z~_k) is an independent copy of (Z_k).  ``y_builder(z, mask)`` must
     return the factor matrix computed from strict prefixes of its first
     argument only (predictable construction), e.g. ``lambda z, mask: ones`` or
-    a function of the cumulative sums of earlier entries.
+    a function of the cumulative sums of earlier entries.  The chunks run on
+    ``threads`` threads, with the same result.
     """
     if x_level <= 0:
         raise ValueError("x_level must be positive")
@@ -532,7 +535,7 @@ def maximal_product_bound(count_sampler: BatchSampler,
         return (int(np.count_nonzero((yk * z).sum(axis=1) > x_level)),
                 int(np.count_nonzero(counts * (yk * zt).max(axis=1) > x_level)))
 
-    lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits), axis=0)
+    lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits, threads), axis=0)
     return (TailEstimate(x_level, n_trials, int(lhs_hits)),
             TailEstimate(x_level, n_trials, int(rhs_hits)))
 
@@ -546,8 +549,8 @@ class TrendPoint:
 
 
 def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
-                      n_values: Sequence[int], reps: int,
-                      seed: int) -> list[TrendPoint]:
+                      n_values: Sequence[int], reps: int, seed: int,
+                      threads: int = 1) -> list[TrendPoint]:
     """n * P(two or more jumps above the threshold a(n)**beta), closed form
     and Monte Carlo, along a sequence of n.
 
@@ -556,12 +559,15 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
     exceedance of the threshold; the Monte Carlo side re-simulates the jump
     mechanism.  The reported stderr is the binomial error of the MC estimate
     under the closed-form rate, which stays meaningful when no hits occur.
+    Each entry of ``n_values`` reads its own stream in order, so the entries,
+    not their chunks, run on ``threads`` threads, with the same result.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     seq = ScalingSequence(measure.alpha, measure.intensity_c)
-    out = []
-    for idx, n in enumerate(n_values):
+
+    def entry(idx: int, _start: int, _stop: int) -> TrendPoint:
+        n = n_values[idx]
         thr = seq.value(n) ** beta
         p_n = min(1.0, thr ** (-measure.alpha))
         closed = n * (1.0 - (1.0 + lam * p_n) * math.exp(-lam * p_n))
@@ -579,5 +585,6 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
         hits = sum(chunks(reps, _CHUNK, chunk_hits))
         p_true = closed / n
         stderr = n * math.sqrt(p_true * (1.0 - p_true) / reps)
-        out.append(TrendPoint(int(n), closed, n * hits / reps, stderr))
-    return out
+        return TrendPoint(int(n), closed, n * hits / reps, stderr)
+
+    return chunks(len(n_values), 1, entry, threads)

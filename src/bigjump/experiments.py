@@ -89,7 +89,8 @@ def _reader(ok: Callable[[object], bool], message: str,
 
 
 def _count(minimum: int) -> Callable:
-    return _reader(lambda v: _is_int(v) and v >= minimum, f"must be an integer >= {minimum}")
+    return _reader(lambda v: _is_int(v) and v >= minimum,
+                   f"must be an integer in [{minimum}, 2**63)")
 
 
 def _real(ok: Callable[[float], bool], message: str) -> Callable:
@@ -131,7 +132,7 @@ _POSITIVE = _real(lambda v: v > 0, "must be positive")
 # How each key is read, wherever it appears.
 _READERS: dict[str, Callable] = {
     "kind": lambda v: v,  # parse checks it before choosing the schema
-    "seed": _reader(_is_int, "must be an integer"),
+    "seed": _reader(_is_int, "must be an integer in [-2**63, 2**63)"),
     "format": _reader(lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
     "model": _built(LevyModel.from_dict), "integrand": _built(integrand_from_dict),
     "grid_size": _count(2), "n": _count(1), "n_mc_inner": _count(1),
@@ -146,7 +147,7 @@ _READERS: dict[str, Callable] = {
     "beta": _real(lambda v: 0.5 < v < 1, "must lie in (1/2, 1)"), "x_level": _POSITIVE,
     "n_values": _reader(lambda v: isinstance(v, list) and v
                         and all(_is_int(k) and k >= 1 for k in v),
-                        "must be a nonempty list of integers >= 1", tuple),
+                        "must be a nonempty list of integers in [1, 2**63)", tuple),
     "reps": _count(1), "n_trials": _count(1),
 }
 
@@ -291,7 +292,8 @@ def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
 
 def _run_breiman(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
     x_sampler = lambda rng, size: _pareto_radii(rng, spec.breiman.alpha, size)
-    ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed)
+    ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed,
+                         threads)
     return [_write_rows(out, "breiman", digest, spec.format, _RATIO_HEADER,
                         _ratio_rows(ests))]
 
@@ -337,7 +339,7 @@ def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
     ):
         lhs, rhs = maximal_product_bound(
             lambda rng, size: rng.poisson(lam, size), y_builder, z_sampler,
-            sec.n_trials, sec.x_level, spec.seed)
+            sec.n_trials, sec.x_level, spec.seed, threads)
         margin = 3.0 * np.hypot(lhs.stderr, 2.0 * rhs.stderr)
         rows.append([label, lhs.u, lhs.p_hat, lhs.stderr, rhs.p_hat, rhs.stderr,
                      str(lhs.p_hat <= 2.0 * rhs.p_hat + margin).lower()])
@@ -346,7 +348,8 @@ def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
                          "within_bound"], rows)
 
     measure = RegVarMeasure(alpha, lam, [([1.0], 1.0)])
-    trend = double_jump_trend(measure, lam, sec.beta, sec.n_values, sec.reps, spec.seed)
+    trend = double_jump_trend(measure, lam, sec.beta, sec.n_values, sec.reps, spec.seed,
+                              threads)
     rows = [[p.n, p.closed_form, p.mc_value, p.stderr] for p in trend]
     return [bound, _write_rows(out, "double_jump_trend", digest, spec.format,
                                ["n", "closed_form", "mc_value", "stderr"], rows)]

@@ -163,6 +163,12 @@ class DeterministicIntegrand:
     def exponential(cls, scale: float = 1.0, rate: float = 0.0) -> "DeterministicIntegrand":
         if scale == 0 or not (math.isfinite(scale) and math.isfinite(rate)):
             raise ValueError("scale must be finite and nonzero, and rate finite")
+        with np.errstate(over="ignore"):
+            # the largest value on [0, 1], computed as the integrand computes it
+            peak = scale * np.exp(max(rate, 0.0))
+        if not np.isfinite(peak):
+            raise ValueError(f"scale * exp(rate * t) overflows on [0, 1] for scale {scale} "
+                             f"and rate {rate}")
         return cls(lambda t: scale * np.exp(rate * np.asarray(t)),
                    {"variant": "deterministic", "form": "exp",
                     "scale": float(scale), "rate": float(rate)})
@@ -248,11 +254,17 @@ def _gaussian_walk(model: LevyModel, z: np.ndarray) -> np.ndarray:
     """Light part on the uniform grid from standard normals ``z`` of shape
     (..., grid_size, d): values (..., grid_size + 1, d), starting at 0."""
     gs, d = z.shape[-2:]
-    inc = z @ model.diffusion.T
+    walk = np.zeros(z.shape[:-2] + (gs + 1, d))
+    inc = walk[..., 1:, :]
+    if d == 1 and model.diffusion[0, 0] != 0.0:
+        # one multiply per entry, the bits of the matmul, at a third of its
+        # cost (at zero diffusion the matmul gives +0.0 where this gives -0.0)
+        np.multiply(z, model.diffusion[0, 0], out=inc)
+    else:
+        inc[...] = z @ model.diffusion.T
     inc /= math.sqrt(gs)
     inc += model.drift / gs
-    walk = np.zeros(z.shape[:-2] + (gs + 1, d))
-    np.cumsum(inc, axis=-2, out=walk[..., 1:, :])
+    np.cumsum(inc, axis=-2, out=inc)
     return walk
 
 
@@ -262,13 +274,15 @@ def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray) -> np
     integrating factor (exponents stay bounded on [0, 1]).  A one-dimensional
     ``grid`` serves every leading index of ``z``."""
     h = np.diff(grid, axis=-1)
-    start = np.zeros(z.shape[:-1] + (1,))
+    u = np.zeros(z.shape[:-1] + (z.shape[-1] + 1,))
     if rate == 0.0:
         sd = vol * np.sqrt(h)
-        return np.concatenate([start, np.cumsum(sd * z, axis=-1)], axis=-1)
+        np.cumsum(sd * z, axis=-1, out=u[..., 1:])
+        return u
     sd = vol * np.sqrt((1.0 - np.exp(-2.0 * rate * h)) / (2.0 * rate))
-    w = np.cumsum(np.exp(rate * grid[..., 1:]) * sd * z, axis=-1)
-    return np.concatenate([start, np.exp(-rate * grid[..., 1:]) * w], axis=-1)
+    np.cumsum(np.exp(rate * grid[..., 1:]) * sd * z, axis=-1, out=u[..., 1:])
+    u[..., 1:] *= np.exp(-rate * grid[..., 1:])
+    return u
 
 
 def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
@@ -287,7 +301,9 @@ def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
         return values.reshape(grid.shape + values.shape[1:])
     if isinstance(spec, ExpOUIntegrand):
         u = _ou_exponent(spec.rate, spec.vol, grid, z)
-        return (spec.initial * np.exp(u))[..., None]
+        np.exp(u, out=u)
+        u *= spec.initial
+        return u[..., None]
     raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
 
 
@@ -438,8 +454,8 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         # integrand on the grid and at the jump times; exp-OU at a jump time
         # takes its last grid sample before the jump
         if isinstance(integrand, ExpOUIntegrand):
-            z = substream(seed, batch_index, INTEGRAND_STREAM).standard_normal((b, grid_size))
-            y_grid = _integrand_values(integrand, grid, z)[..., 0]
+            y_grid = _integrand_values(integrand, grid, substream(
+                seed, batch_index, INTEGRAND_STREAM).standard_normal((b, grid_size)))[..., 0]
             pos = np.clip((jt * grid_size).astype(int), 0, grid_size)
             y_jump = np.take_along_axis(y_grid, pos, axis=1)
         else:
@@ -449,12 +465,16 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         wz = np.where(mask, y_jump * jz, 0.0)
 
         # continuous part: left-endpoint sums of y against the Gaussian walk
-        # (identically 0 without diffusion and drift)
+        # (identically 0 without diffusion and drift).  Here and for y_grid
+        # the normals are dropped once used and wc is summed in place, so a
+        # batch holds few (batch x grid) arrays, also with several in flight
         if has_cont:
-            z = substream(seed, batch_index, GAUSS_STREAM).standard_normal((b, grid_size, 1))
-            xc = _gaussian_walk(model, z)[..., 0]
-            wc = np.hstack([np.zeros((b, 1)),
-                            np.cumsum(y_grid[:, :-1] * np.diff(xc, axis=1), axis=1)])
+            xc = _gaussian_walk(model, substream(seed, batch_index, GAUSS_STREAM)
+                                .standard_normal((b, grid_size, 1)))[..., 0]
+            wc = np.zeros((b, grid_size + 1))
+            dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
+            dw *= y_grid[:, :-1]
+            np.cumsum(dw, axis=1, out=dw)
 
         # jump part on the grid: a jump at tau counts from the first grid
         # point >= tau on.  Sorting by that cell keeps draw order inside a

@@ -468,6 +468,17 @@ class TestDoubleJumpTrend:
         with pytest.raises(ValueError, match="beta must lie"):
             double_jump_trend(m, 1.0, 0.5, [100], 10, 1)
 
+    def test_threads_return_the_same_points(self, monkeypatch):
+        # three chunks per entry, and more entries than threads, each long
+        # enough that the two threads overlap
+        monkeypatch.setattr(diagnostics, "_CHUNK", 40000)
+        m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
+        args = (m, 1.0, 0.75, [10, 100, 1000, 10 ** 4, 10 ** 5], 100000)
+        one = double_jump_trend(*args, seed=5, threads=1)
+        assert double_jump_trend(*args, seed=5, threads=2) == one
+        assert [p.n for p in one] == [10, 100, 1000, 10 ** 4, 10 ** 5]
+        assert len({p.mc_value / p.n for p in one}) > 1
+
 
 @pytest.mark.parametrize("estimate", [
     pytest.param(lambda: tail_prob(pareto_sampler(2.0), 1.0, 0, 1), id="tail_prob"),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bigjump import cli, levy_sim
+from bigjump import cli, diagnostics, levy_sim
 from bigjump.experiments import ValidationError, config_hash, run, validate
 
 MODEL = {"dimension": 1, "big_jump_intensity": 1.0, "radial_alpha": 1.5,
@@ -88,6 +88,10 @@ BAD_CONFIGS = [
     pytest.param(tails_config(integrand={"variant": "deterministic", "form": "exp",
                                          "scale": float("inf"), "rate": -1.0}),
                  id="scale-inf"),
+    pytest.param(breiman_config(seed=2 ** 64 - 1), id="seed-out-of-range"),
+    pytest.param(tails_config(integrand={"variant": "deterministic", "form": "exp",
+                                         "scale": 1.0, "rate": 800.0}),
+                 id="rate-overflow"),
 ]
 
 
@@ -102,6 +106,25 @@ class TestValidate:
     def test_empty_levels(self):
         errors = validate(tails_config(levels=[]))
         assert any("levels" in e for e in errors)
+
+    @pytest.mark.parametrize("config, message", [
+        (breiman_config(seed=2 ** 64 - 1), "seed must be an integer in [-2**63, 2**63)"),
+        (breiman_config(seed=-2 ** 63 - 1), "seed must be an integer in [-2**63, 2**63)"),
+        (breiman_config(n=2 ** 63), "n must be an integer in [1, 2**63)"),
+        (lemma_config(n_values=[100, 2 ** 63]),
+         "lemma_checks.n_values must be a nonempty list of integers in [1, 2**63)"),
+    ], ids=["seed-above", "seed-below", "count", "n-values"])
+    def test_integer_messages_name_the_range(self, config, message):
+        assert validate(config) == [message]
+
+    def test_overflowing_exponential_rejected(self):
+        exp_y = {"variant": "deterministic", "form": "exp", "scale": 3.0, "rate": 709.0}
+        errors = validate(tails_config(integrand=exp_y))
+        assert len(errors) == 1 and "overflows on [0, 1]" in errors[0]
+        # the same rate with a smaller scale stays finite, and so does any
+        # decaying rate
+        assert validate(tails_config(integrand=dict(exp_y, scale=1.0))) == []
+        assert validate(tails_config(integrand=dict(exp_y, rate=-800.0))) == []
 
     def test_reports_all_violations_at_once(self):
         cfg = tails_config(levels=[3.0, 2.0], n=0, t=7.0)
@@ -253,21 +276,29 @@ class TestCli:
         read = lambda d: (tmp_path / d / "tails.csv").read_bytes()
         assert read("a") == read("b") != read("c")
 
-    @pytest.mark.parametrize("kind", ["tails", "tail-equivalence"])
+    @pytest.mark.parametrize("kind", ["tails", "tail-equivalence", "breiman",
+                                      "lemma-checks"])
     def test_threads_write_identical_files(self, tmp_path, monkeypatch, kind):
-        # five batches, so two threads share them
+        # five batches or chunks, so two threads share them
         monkeypatch.setattr(levy_sim, "_BATCH", 1000)
-        cfg = tails_config(kind=kind, n=4500, levels=[2.0, 5.0, 10.0],
-                           model=dict(MODEL, diffusion=[[0.5]]), integrand=EXP_OU)
-        if kind == "tails":
-            cfg["n_mc_inner"] = 16
+        monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
+        if kind == "breiman":
+            cfg = breiman_config(n=4500, levels=[1.5, 2.0, 4.0])
+        elif kind == "lemma-checks":
+            # three entries of different n, each read through five chunks
+            cfg = lemma_config(n_values=[10, 100, 1000], reps=4500, n_trials=4500)
+        else:
+            cfg = tails_config(kind=kind, n=4500, levels=[2.0, 5.0, 10.0],
+                               model=dict(MODEL, diffusion=[[0.5]]), integrand=EXP_OU)
+            if kind == "tails":
+                cfg["n_mc_inner"] = 16
         path = self._write(tmp_path, cfg)
         for threads in ("1", "2"):
             assert cli.main(["run", path, "--threads", threads,
                              "--out-dir", str(tmp_path / threads)]) == 0
-        stem = kind.replace("-", "_")
-        read = lambda d: (tmp_path / d / f"{stem}.csv").read_bytes()
-        assert read("1") == read("2")
+        files = lambda d: {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()
+                           if p.name != "manifest.json"}
+        assert files("1") and files("1") == files("2")
 
     def test_paths_subcommand(self, tmp_path):
         cfg = self._write(tmp_path, {"seed": 2, "grid_size": 32, "model": MODEL,
