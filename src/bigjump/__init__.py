@@ -12,10 +12,9 @@ from .diagnostics import (ConditionalDistanceCurve, HillEstimate, RatioEstimate,
                           tail_equivalence, tail_prob)
 from .experiments import RunManifest, ValidationError, config_hash, run, validate
 from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
-                       IntegrandSpec, JumpRecord, LevyModel, SimConfig,
+                       IntegrandSpec, LevyModel, SimConfig,
                        assemble_levy_path, batch_integral_functionals,
                        integrand_from_dict, one_jump_integral, simulate_big_jumps,
                        simulate_integrand, simulate_levy_path, simulate_small_part,
                        stochastic_integral)
-from .regvar import (EndpointExceedance, Estimate, RegVarMeasure, ScalingSequence,
-                     mu_tail, weighted_one_step_mass)
+from .regvar import RegVarMeasure, ScalingSequence, mu_tail, weighted_one_step_mass

@@ -55,7 +55,6 @@ class CadlagPath:
     values: np.ndarray
     jump_times: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     jump_sizes: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
-    caglad: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -164,8 +163,7 @@ class CadlagPath:
 
     def scaled(self, factor: float) -> "CadlagPath":
         return CadlagPath(self.grid, self.values * factor, self.jump_times,
-                          self.jump_sizes * factor if len(self.jump_times) else _EMPTY.copy(),
-                          self.caglad)
+                          self.jump_sizes * factor if len(self.jump_times) else _EMPTY.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
                        _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
                        batch_integral_functionals, one_jump_integral,
                        simulate_integrand, simulate_levy_path, stochastic_integral)
-from .regvar import EndpointExceedance, RegVarMeasure, ScalingSequence
+from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 
 BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -212,23 +212,19 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
 
     The inner expectation is Monte Carlo over ``n_mc`` exp-OU integrand
     paths; a constant or deterministic integrand has one path, which is drawn
-    once (the Monte Carlo mean of ``n_mc`` equal draws is exactly its value).
-    The time integral is composite trapezoid quadrature on the simulation
-    grid.  For a one-dimensional model with positive spectral weight.
+    once.  The time integral over [0, t] is composite trapezoid quadrature on
+    the simulation grid, so ``t`` must be a multiple of 1/grid_size.  The
+    mass at level 1 is scaled by u**-alpha, so every level shares the same
+    draws.  For a one-dimensional model.
     """
-    if measure.dimension != 1:
-        raise ValueError("analytic prediction applies to one-dimensional models")
-    from .regvar import weighted_one_step_mass
-
     def sampler(rng: np.random.Generator) -> CadlagPath:
         # stream keys take indices below 2**61; the reduction keeps the keys
         # that the indices drawn from [0, 2**62) always mapped to
         rep = int(rng.integers(0, 2 ** 62)) % 2 ** 61
         return simulate_integrand(integrand, SimConfig(grid_size, seed, rep))
 
-    region = EndpointExceedance(t, u, lambda s: s[0] > 0)
     draws = n_mc if isinstance(integrand, ExpOUIntegrand) else min(n_mc, 1)
-    return weighted_one_step_mass(measure, sampler, region, draws, seed).value
+    return weighted_one_step_mass(measure, sampler, t, draws, seed) * u ** -measure.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +444,11 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 
     def exact(rep: int, counts: np.ndarray) -> None:
         cfg = SimConfig(grid_size, seed, rep)
-        x, jumps = simulate_levy_path(model, cfg)
+        x = simulate_levy_path(model, cfg)
         if integrand is None:
             w, wa = x, one_step_approx(x)
         else:
-            y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
+            y = simulate_integrand(integrand, cfg, times=x.jump_times)
             w = stochastic_integral(y, x)
             wa = one_jump_integral(y, x)
         s = sup_norm(w)

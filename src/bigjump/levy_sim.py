@@ -100,22 +100,6 @@ class LevyModel:
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    """One big jump: time in (0, 1], size vector with norm >= 1."""
-    time: float
-    size: np.ndarray
-
-    def __post_init__(self):
-        size = np.atleast_1d(np.asarray(self.size, dtype=float))
-        size.flags.writeable = False
-        object.__setattr__(self, "size", size)
-        if not 0 < self.time <= 1:
-            raise ValueError("jump time must lie in (0, 1]")
-        if np.linalg.norm(size) < 1 - 1e-12:
-            raise ValueError("big jumps have norm >= 1")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     grid_size: int = 4096
     seed: int = 0
@@ -307,10 +291,10 @@ def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
     raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
 
 
-def simulate_big_jumps(model: LevyModel, cfg: SimConfig) -> list[JumpRecord]:
-    """Compound Poisson big jumps; bit-reproducible given (seed, replicate_index)."""
-    times, sizes = _draw_jumps(model, substream(cfg.seed, cfg.replicate_index, JUMP_STREAM))
-    return [JumpRecord(float(t), z) for t, z in zip(times, sizes)]
+def simulate_big_jumps(model: LevyModel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Compound Poisson big jumps: sorted times (k,) in (0, 1] and sizes (k, d)
+    of norm >= 1; bit-reproducible given (seed, replicate_index)."""
+    return _draw_jumps(model, substream(cfg.seed, cfg.replicate_index, JUMP_STREAM))
 
 
 def simulate_small_part(model: LevyModel, cfg: SimConfig) -> CadlagPath:
@@ -320,13 +304,15 @@ def simulate_small_part(model: LevyModel, cfg: SimConfig) -> CadlagPath:
     return CadlagPath(np.linspace(0.0, 1.0, cfg.grid_size + 1), _gaussian_walk(model, z))
 
 
-def assemble_levy_path(small: CadlagPath, jumps: Sequence[JumpRecord]) -> CadlagPath:
-    """Sum of the light part and the big-jump step process; the result's jump
-    list is exactly the input jump list."""
-    if not jumps:
+def assemble_levy_path(small: CadlagPath, times: np.ndarray,
+                       sizes: np.ndarray) -> CadlagPath:
+    """Sum of the light part and the step process of the big jumps at
+    ``times`` (k,) with ``sizes`` (k, d); the result's jumps are exactly
+    these."""
+    if len(times) == 0:
         return small
-    jt = np.array([j.time for j in jumps])
-    js = np.stack([j.size for j in jumps])
+    jt = np.asarray(times, dtype=float)
+    js = np.asarray(sizes, dtype=float)
     if np.any(np.diff(jt) <= 0):
         raise ValueError("jump times must be distinct and sorted")
     grid = np.union1d(small.grid, jt)
@@ -336,9 +322,11 @@ def assemble_levy_path(small: CadlagPath, jumps: Sequence[JumpRecord]) -> Cadlag
     return CadlagPath(grid, values, jt, js)
 
 
-def simulate_levy_path(model: LevyModel, cfg: SimConfig) -> tuple[CadlagPath, list[JumpRecord]]:
-    jumps = simulate_big_jumps(model, cfg)
-    return assemble_levy_path(simulate_small_part(model, cfg), jumps), jumps
+def simulate_levy_path(model: LevyModel, cfg: SimConfig) -> CadlagPath:
+    """Light part plus big jumps of one replicate; its ``jump_times`` and
+    ``jump_sizes`` are those of ``simulate_big_jumps``."""
+    return assemble_levy_path(simulate_small_part(model, cfg),
+                              *simulate_big_jumps(model, cfg))
 
 
 def simulate_integrand(spec: IntegrandSpec, cfg: SimConfig,
@@ -355,7 +343,7 @@ def simulate_integrand(spec: IntegrandSpec, cfg: SimConfig,
     if isinstance(spec, ExpOUIntegrand):
         rng = substream(cfg.seed, cfg.replicate_index, INTEGRAND_STREAM)
         z = rng.standard_normal(len(grid) - 1)
-    return CadlagPath(grid, _integrand_values(spec, grid, z), caglad=True)
+    return CadlagPath(grid, _integrand_values(spec, grid, z))
 
 
 # ---------------------------------------------------------------------------

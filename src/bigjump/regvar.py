@@ -9,15 +9,17 @@ asymptotic statement downstream becomes a testable rate statement.
 
 On path space the induced limit measure lives on single-step paths
 ``y * 1_[v,1]`` with uniform step time ``v`` and step size distributed like the
-d-space measure.  :func:`weighted_one_step_mass` evaluates the mass of an
-endpoint exceedance under its integrand-weighted variant (steps scaled by an
-independent path Y sampled at the step time) by Monte Carlo over Y with the
-step time integrated out exactly, so all sampling variance comes from Y alone.
+d-space measure.  :func:`weighted_one_step_mass` evaluates, for a
+one-dimensional measure, the mass of {x_t > 1} under its integrand-weighted
+variant (steps scaled by an independent path Y sampled at the step time) by
+Monte Carlo over Y, with the step time integrated out by quadrature, so all
+sampling variance comes from Y alone.  The measure is homogeneous of order
+-alpha, so the mass of {x_t > u} is that mass times u**-alpha: one Monte
+Carlo run serves every level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -106,104 +108,56 @@ class ScalingSequence:
         return (self.intensity_c * n) ** (1.0 / self.alpha)
 
 
-@dataclass(frozen=True)
-class EndpointExceedance:
-    """{x : x_t lands in the radial cone of level u (optional direction predicate)}."""
-    t: float
-    u: float
-    predicate: Optional[DirectionPredicate] = None
-
-    def __post_init__(self):
-        if self.u <= 0:
-            raise ValueError("exceedance level must be positive")
-        if not 0 < self.t <= 1:
-            raise ValueError("time must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Monte Carlo point estimate with standard error."""
-    value: float
-    stderr: float
-    n: int
-
-
-def _weighted_inner_profile(measure: RegVarMeasure, values: np.ndarray,
-                            region: EndpointExceedance) -> np.ndarray:
-    """Per-time inner cone mass for a step scaled by the integrand values.
-
-    ``values`` has shape (m, d): the integrand path sampled at m time points.
-    Returns the inner-mass profile g(v_i), so the region mass is the integral
-    of g over [0, region.t].
-    """
+def _weighted_inner_profile(measure: RegVarMeasure, y: np.ndarray) -> np.ndarray:
+    """Mass of {x > 1} under a one-dimensional ``measure`` with its steps
+    scaled by each integrand value: g(v) = sum over the atoms (s, w) of
+    c * w * (y_v * s)_+ ** alpha, so the mass of {x_t > 1} is the integral of
+    g over [0, t]."""
     a, c = measure.alpha, measure.intensity_c
-    g = np.zeros(values.shape[0])
+    g = np.zeros(y.shape)
     for s, w in measure.spectral:
-        scaled = values * s
-        norms = np.linalg.norm(scaled, axis=1)
-        ok = norms > 0
-        if region.predicate is not None:
-            for i in np.nonzero(ok)[0]:
-                ok[i] = region.predicate(scaled[i] / norms[i])
-        g += c * w * np.where(ok, norms ** a, 0.0)
-    return g * region.u ** (-a)
+        g += c * w * np.maximum(y * s[0], 0.0) ** a
+    return g
 
 
-def _trapezoid_to(grid: np.ndarray, g: np.ndarray, t: float) -> float:
-    """Trapezoid integral of the sampled profile g over [0, t], t <= grid[-1]."""
-    if t >= grid[-1]:
-        return float(np.trapezoid(g, grid))
-    k = int(np.searchsorted(grid, t, side="right") - 1)
-    head = float(np.trapezoid(g[: k + 1], grid[: k + 1])) if k >= 1 else 0.0
-    if grid[k] == t:
-        return head
-    frac = (t - grid[k]) / (grid[k + 1] - grid[k])
-    gt = g[k] + frac * (g[k + 1] - g[k])
-    return head + 0.5 * (g[k] + gt) * (t - grid[k])
+def _grid_index(grid: np.ndarray, t: float) -> int:
+    """Index k with grid[k] == t (to 1e-12), t in (0, 1]."""
+    k = int(np.abs(grid - t).argmin())
+    if not 0 < t <= 1 or k == 0 or abs(grid[k] - t) > 1e-12:
+        raise ValueError(f"t must be a grid time in (0, 1], got {t}")
+    return k
 
 
 def weighted_one_step_mass(measure: RegVarMeasure,
                            integrand_sampler: Callable[[np.random.Generator], object],
-                           region: EndpointExceedance,
-                           n_mc: int,
-                           seed: int) -> Estimate:
-    """Mass of ``region`` under the integrand-weighted one-step limit measure.
+                           t: float, n_mc: int, seed: int) -> float:
+    """Mass of {x : x_t > 1} under the integrand-weighted one-step limit
+    measure of a one-dimensional ``measure``.
 
-    One-step paths are scaled componentwise by an independent integrand path
-    evaluated at the (uniform) step time.  ``integrand_sampler(rng)`` must
-    return an object with ``grid`` (m,) and ``values`` (m, d) arrays, sampled
-    on [0, 1]; every draw's inner cone mass is closed form and the step time is
-    integrated out by trapezoid quadrature on the draw's grid, so the Monte
-    Carlo variance comes from the integrand alone.  Each chunk of replicates
-    draws from its own derived sub-stream and the chunk results merge in chunk
-    order, so the estimate is reproducible.
+    One-step paths are scaled by an independent integrand path evaluated at
+    the (uniform) step time.  ``integrand_sampler(rng)`` must return an
+    object with ``grid`` (m,) and ``values`` (m,) or (m, 1) arrays, sampled
+    on [0, 1], and ``t`` must be a point of that grid.  Every draw's inner
+    mass is closed form and the step time is integrated out by trapezoid
+    quadrature on the draw's grid, so the Monte Carlo variance comes from the
+    integrand alone.  The result is the sum over the ``n_mc`` draws divided
+    by ``n_mc``; each chunk of 256 draws reads its own sub-stream, so it is
+    reproducible.  By homogeneity the mass of {x_t > u} is this times
+    u**-alpha.
     """
-    def run_chunk(i: int, start: int, stop: int) -> tuple[int, float, float]:
-        # Welford accumulation: (count, mean, sum of squared deviations)
+    if measure.dimension != 1:
+        raise ValueError("the mass of {x_t > 1} needs a one-dimensional measure")
+
+    def run_chunk(i: int, start: int, stop: int) -> float:
         rng = substream(seed, start, AUX_STREAM)
-        count, mean, m2 = 0, 0.0, 0.0
+        total = 0.0
         for _ in range(stop - start):
             path = integrand_sampler(rng)
             grid = np.asarray(path.grid, dtype=float)
-            values = np.asarray(path.values, dtype=float)
-            if values.ndim == 1:
-                values = values[:, None]
-            x = _trapezoid_to(grid, _weighted_inner_profile(measure, values, region),
-                              region.t)
-            count += 1
-            delta = x - mean
-            mean += delta / count
-            m2 += delta * (x - mean)
-        return count, mean, m2
+            k = _grid_index(grid, t)
+            y = np.asarray(path.values, dtype=float).reshape(grid.shape)
+            total += float(np.trapezoid(_weighted_inner_profile(measure, y[: k + 1]),
+                                        grid[: k + 1]))
+        return total
 
-    parts = chunks(n_mc, 256, run_chunk)
-
-    n, mean, m2 = parts[0]
-    for cn, cmean, cm2 in parts[1:]:
-        delta = cmean - mean
-        total = n + cn
-        m2 += cm2 + delta * delta * n * cn / total
-        mean += delta * cn / total
-        n = total
-    stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return Estimate(mean, stderr, n)
+    return sum(chunks(n_mc, 256, run_chunk)) / n_mc

@@ -205,33 +205,30 @@ def test_criterion_7_double_jump_trend():
 
 def lattice_j1(x, y, n=1000):
     """Independent brute force: minimax over monotone paths on an n x n grid
-    of time pairs (piecewise-linear time changes sampled at 1/n resolution)."""
+    of time pairs (piecewise-linear time changes sampled at 1/n resolution).
+
+    Cell (i, j) costs max(|t_i - t_j|, |x(t_i) - y(t_j)|) and the path value
+    is D(i, j) = max(cost, min(D(i-1, j), D(i, j-1), D(i-1, j-1))).  The cells
+    of anti-diagonal k = i + j depend only on diagonals k - 1 and k - 2, so
+    each diagonal is one vectorized step over rows i, with cells off the
+    lattice held at +inf."""
     ts = np.linspace(0.0, 1.0, n + 1)
     X = x._sides_at(ts)[1]
     Y = y._sides_at(ts)[1]
-    prev2 = None
-    prev1 = np.array([np.linalg.norm(X[0] - Y[0])])
+    node = np.maximum(np.abs(ts[:, None] - ts[None, :]),
+                      np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2))
+    # diag[k, i] = node[i, k - i]
+    i = np.arange(n + 1)
+    diag = np.full((2 * n + 1, n + 1), np.inf)
+    diag[i[:, None] + i[None, :], i[:, None]] = node
+    prev2, prev1 = np.full(n + 1, np.inf), diag[0]
+    best = np.empty(n + 1)
     for k in range(1, 2 * n + 1):
-        lo, hi = max(0, k - n), min(k, n)
-        ii = np.arange(lo, hi + 1)
-        jj = k - ii
-        node = np.maximum(np.abs(ts[ii] - ts[jj]),
-                          np.linalg.norm(X[ii] - Y[jj], axis=1))
-        best = np.full(len(ii), np.inf)
-        p_lo = max(0, k - 1 - n)
-        idx = ii - 1 - p_lo
-        valid = (ii - 1 >= 0) & (idx >= 0) & (idx < len(prev1))
-        best[valid] = np.minimum(best[valid], prev1[idx[valid]])
-        idx = ii - p_lo
-        valid = (jj - 1 >= 0) & (idx >= 0) & (idx < len(prev1))
-        best[valid] = np.minimum(best[valid], prev1[idx[valid]])
-        if prev2 is not None:
-            p2_lo = max(0, k - 2 - n)
-            idx = ii - 1 - p2_lo
-            valid = (ii - 1 >= 0) & (jj - 1 >= 0) & (idx >= 0) & (idx < len(prev2))
-            best[valid] = np.minimum(best[valid], prev2[idx[valid]])
-        prev2, prev1 = prev1, np.maximum(node, best)
-    return float(prev1[0])
+        best[0] = prev1[0]
+        np.minimum(prev1[:-1], prev1[1:], out=best[1:])
+        np.minimum(best[1:], prev2[:-1], out=best[1:])
+        prev2, prev1 = prev1, np.maximum(diag[k], best)
+    return float(prev1[n])
 
 
 def _random_step(rng, max_jumps=3, lattice=1000):
@@ -278,9 +275,8 @@ def test_criterion_9_integral_correctness():
     exact = True
     for rep in range(10):
         cfg = bj.SimConfig(4096, 909, rep)
-        x, jumps = bj.simulate_levy_path(model, cfg)
-        y = bj.simulate_integrand(bj.ConstantIntegrand([1.0]), cfg,
-                                  times=[j.time for j in jumps])
+        x = bj.simulate_levy_path(model, cfg)
+        y = bj.simulate_integrand(bj.ConstantIntegrand([1.0]), cfg, times=x.jump_times)
         w = bj.stochastic_integral(y, x)
         if not (np.array_equal(w.jump_times, x.jump_times)
                 and np.array_equal(w.jump_sizes, x.jump_sizes)):
@@ -292,7 +288,7 @@ def test_criterion_9_integral_correctness():
     for gs in (512, 1024, 2048):
         grid = np.linspace(0, 1, gs + 1)
         xd = bj.CadlagPath(grid, grid[:, None])
-        yd = bj.CadlagPath(grid, grid[:, None], caglad=True)
+        yd = bj.CadlagPath(grid, grid[:, None])
         w = bj.stochastic_integral(yd, xd)
         errors.append(abs(float(w.values[-1, 0]) - 0.5))
     order_ok = all(e1 / e2 >= 2.0 / 1.5 and e1 / e2 <= 2.0 * 1.5

@@ -374,11 +374,11 @@ def _levy_path_pairs(count):
     pairs, rep = [], 0
     while len(pairs) < 5 * count:
         cfg = SimConfig(128, 808, rep)
-        jumps = simulate_big_jumps(model, cfg)
+        times, sizes = simulate_big_jumps(model, cfg)
         rep += 1
-        if not jumps:
+        if not len(times):
             continue
-        w = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+        w = assemble_levy_path(simulate_small_part(model, cfg), times, sizes)
         wa = one_step_approx(w)
         pairs += [(w.scaled(1.0 / u), wa.scaled(1.0 / u)) for u in (2.0, 4.0, 8.0, 16.0, 32.0)]
     return pairs

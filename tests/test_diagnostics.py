@@ -15,7 +15,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               simulate_big_jumps, simulate_integrand,
                               simulate_levy_path, simulate_small_part,
                               stochastic_integral)
-from bigjump.regvar import EndpointExceedance, RegVarMeasure, weighted_one_step_mass
+from bigjump.regvar import RegVarMeasure, weighted_one_step_mass
 
 
 def pareto_sampler(alpha):
@@ -233,11 +233,10 @@ SCREEN_CASES = [
 def exact_pair(model, integrand, seed, rep, grid_size):
     """W and its one-jump approximation from the per-replicate samplers."""
     cfg = SimConfig(grid_size, seed, rep)
-    jumps = simulate_big_jumps(model, cfg)
-    x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+    x = assemble_levy_path(simulate_small_part(model, cfg), *simulate_big_jumps(model, cfg))
     if integrand is None:
         return x, one_step_approx(x)
-    y = simulate_integrand(integrand, cfg, times=[j.time for j in jumps])
+    y = simulate_integrand(integrand, cfg, times=x.jump_times)
     return stochastic_integral(y, x), one_jump_integral(y, x)
 
 
@@ -354,7 +353,7 @@ class TestTwoPhaseScreening:
         monkeypatch.setattr(diagnostics, "_draw_jumps", snapped)
         irregular = diagnostics._screen(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 4,
                                         range(100), grid_size)[-1]
-        with_jumps = [len(simulate_big_jumps(MIXED_MODEL, SimConfig(grid_size, 4, r))) > 0
+        with_jumps = [len(simulate_big_jumps(MIXED_MODEL, SimConfig(grid_size, 4, r))[0]) > 0
                       for r in range(100)]
         assert irregular.tolist() == with_jumps
         curves = one_big_jump_curve(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
@@ -392,24 +391,32 @@ class TestAnalyticPrediction:
         pytest.param(ExpOUIntegrand(2.0, 0.3, 1.0), id="exp-ou"),
     ])
     def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc):
-        # a constant or deterministic integrand is drawn once: n_mc equal
-        # draws, merged over 256-draw chunks past 256, have exactly the one
-        # draw's value as their mean; no draws is rejected by both
+        # the prediction at u is the weighted mass of {x_t > 1} times
+        # u**-alpha; exp-OU takes n_mc draws, a constant or deterministic
+        # integrand one, whose mass n_mc equal draws give up to rounding; no
+        # draws is rejected by both
         m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
         sampler = lambda rng: simulate_integrand(
             integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62)) % 2 ** 61))
-        region = EndpointExceedance(0.75, 4.0, lambda s: s[0] > 0)
         predict = lambda: analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
                                               grid_size=64)
         if n_mc == 0:
-            for call in (lambda: weighted_one_step_mass(m, sampler, region, 0, seed=3),
+            for call in (lambda: weighted_one_step_mass(m, sampler, 0.75, 0, seed=3),
                          predict):
                 with pytest.raises(ValueError):
                     call()
             return
-        full = weighted_one_step_mass(m, sampler, region, n_mc, seed=3)
-        assert full.n == n_mc
-        assert predict() == full.value
+        full = weighted_one_step_mass(m, sampler, 0.75, n_mc, seed=3)
+        draws = n_mc if isinstance(integrand, ExpOUIntegrand) else 1
+        mass = weighted_one_step_mass(m, sampler, 0.75, draws, seed=3)
+        assert full == pytest.approx(mass, rel=1e-13)
+        assert predict() == mass * 4.0 ** -1.5
+
+    def test_rejects_t_off_the_grid(self):
+        m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
+        with pytest.raises(ValueError, match="grid time"):
+            analytic_prediction(m, ConstantIntegrand([1.0]), 0.3, 10.0, 16, seed=1,
+                                grid_size=64)
 
 
 class TestMaximalProductBound:

@@ -8,6 +8,7 @@ from bigjump.experiments import ValidationError, config_hash, run, validate
 MODEL = {"dimension": 1, "big_jump_intensity": 1.0, "radial_alpha": 1.5,
          "spectral": [{"dir": [1.0], "w": 1.0}],
          "diffusion": [[0.0]], "drift": [0.0]}
+TWO_SIDED = dict(MODEL, spectral=[{"dir": [1.0], "w": 0.7}, {"dir": [-1.0], "w": 0.3}])
 UNIT_Y = {"variant": "constant", "value": [1.0]}
 
 
@@ -117,6 +118,29 @@ class TestValidate:
     def test_integer_messages_name_the_range(self, config, message):
         assert validate(config) == [message]
 
+    @pytest.mark.parametrize("config", [
+        breiman_config(breiman={"alpha": 2 ** 64, "y": {"kind": "const", "value": 2.0}}),
+        lemma_config(x_level=2 ** 64, reps=1000, n_trials=1000),
+        tails_config(levels=[2.0, 2 ** 64], n=200),
+    ], ids=["breiman-alpha", "x-level", "levels"])
+    def test_integers_beyond_64_bits_read_as_reals(self, config, tmp_path):
+        # an int reads as a real when its float value is finite, in validate
+        # and run alike
+        assert validate(config) == []
+        assert run(config, out_dir=tmp_path).outputs
+
+    @pytest.mark.parametrize("config, message", [
+        (breiman_config(breiman={"alpha": 10 ** 400, "y": {"kind": "const", "value": 2.0}}),
+         "breiman.alpha must be a finite number"),
+        (lemma_config(x_level=-10 ** 400), "lemma_checks.x_level must be a finite number"),
+        (tails_config(levels=[2.0, 10 ** 400]), "levels must be a finite number"),
+    ], ids=["breiman-alpha", "x-level", "levels"])
+    def test_integers_too_large_for_a_float(self, config, message, tmp_path):
+        assert validate(config) == [message]
+        with pytest.raises(ValidationError) as exc:
+            run(config, out_dir=tmp_path)
+        assert exc.value.errors == [message]
+
     def test_overflowing_exponential_rejected(self):
         exp_y = {"variant": "deterministic", "form": "exp", "scale": 3.0, "rate": 709.0}
         errors = validate(tails_config(integrand=exp_y))
@@ -168,6 +192,32 @@ class TestRun:
         assert float(row["analytic"]) == pytest.approx(10.0 ** -1.5, rel=1e-12)
         assert f"# config_hash={manifest.config_hash}" in lines[0]
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model, integrand", [
+        pytest.param(MODEL, UNIT_Y, id="constant"),
+        pytest.param(TWO_SIDED, {"variant": "deterministic", "form": "exp",
+                                 "scale": 2.0, "rate": -1.0}, id="deterministic-two-sided"),
+        pytest.param(MODEL, {"variant": "deterministic", "form": "exp",
+                             "scale": -2.0, "rate": -1.0}, id="negative-scale"),
+        pytest.param(TWO_SIDED, EXP_OU, id="exp-ou-two-sided"),
+    ])
+    def test_tails_prediction_is_one_mass_scaled_per_level(self, tmp_path, model, integrand):
+        # the limit measure is homogeneous: each level's prediction is the
+        # one at level 1 times u**-alpha, bit for bit
+        cfg = tails_config(n=2000, t=0.75, levels=[2.0, 5.0, 10.0], n_mc_inner=32,
+                           model=model, integrand=integrand, format="json")
+        run(cfg, out_dir=tmp_path)
+        rows = json.loads((tmp_path / "tails.json").read_text())["rows"]
+        measure = levy_sim.LevyModel.from_dict(model).induced_measure()
+        spec = levy_sim.integrand_from_dict(integrand)
+        predict = lambda u: diagnostics.analytic_prediction(measure, spec, 0.75, u, 32,
+                                                            42, 64)
+        at_one = predict(1.0)
+        for u, analytic, *_, ratio in rows:
+            assert analytic == predict(u) == at_one * u ** -measure.alpha
+            assert (ratio is None) == (analytic == 0.0)
+        # only a negative scale on a one-sided measure leaves no mass
+        assert (at_one == 0.0) == (integrand.get("scale", 1.0) < 0)
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = tails_config(n=5000)

@@ -9,7 +9,7 @@ from bigjump._rng import (GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                           substream)
 from bigjump.cadlag import CadlagPath, cw_product, one_step_approx, sup_norm, largest_jump_time
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
-                              ExpOUIntegrand, JumpRecord, LevyModel, SimConfig,
+                              ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, batch_integral_functionals,
                               integrand_from_dict, one_jump_integral,
                               simulate_big_jumps, simulate_integrand,
@@ -39,19 +39,20 @@ class TestModel:
 class TestBigJumps:
     def test_tiny_rate_is_empty(self):
         m = pure_jump_model(lam=1e-12)
-        assert simulate_big_jumps(m, SimConfig(16, 5)) == []
+        times, sizes = simulate_big_jumps(m, SimConfig(16, 5))
+        assert times.shape == (0,) and sizes.shape == (0, 1)
 
     def test_poisson_mean(self):
         m = pure_jump_model(lam=1.0)
-        counts = [len(simulate_big_jumps(m, SimConfig(16, 42, r))) for r in range(20000)]
+        counts = [len(simulate_big_jumps(m, SimConfig(16, 42, r))[0]) for r in range(20000)]
         assert abs(np.mean(counts) - 1.0) < 3 * math.sqrt(1.0 / 20000)
 
     def test_pareto_radii(self):
         m = pure_jump_model(alpha=1.5)
         radii = []
         for r in range(30000):
-            radii.extend(float(np.linalg.norm(j.size)) for j in
-                         simulate_big_jumps(m, SimConfig(16, 7, r)))
+            radii.extend(np.linalg.norm(simulate_big_jumps(m, SimConfig(16, 7, r))[1],
+                                        axis=1))
         radii = np.asarray(radii)
         assert radii.min() >= 1.0
         p = (radii > 4.0).mean()
@@ -60,19 +61,17 @@ class TestBigJumps:
 
     def test_times_sorted_in_unit_interval(self):
         m = pure_jump_model(lam=4.0)
-        jumps = simulate_big_jumps(m, SimConfig(16, 11, 3))
-        ts = [j.time for j in jumps]
-        assert all(0 < t <= 1 for t in ts) and ts == sorted(ts)
+        ts, sizes = simulate_big_jumps(m, SimConfig(16, 11, 3))
+        assert len(ts) == len(sizes) > 0
+        assert np.all((ts > 0) & (ts <= 1)) and np.all(np.diff(ts) > 0)
 
     def test_bit_reproducible_and_streams_independent(self):
         m = pure_jump_model(lam=2.0)
         a = simulate_big_jumps(m, SimConfig(16, 9, 4))
         b = simulate_big_jumps(m, SimConfig(16, 9, 4))
-        assert len(a) == len(b)
-        assert all(x.time == y.time and np.array_equal(x.size, y.size)
-                   for x, y in zip(a, b))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = simulate_big_jumps(m, SimConfig(16, 9, 5))
-        assert [j.time for j in a] != [j.time for j in c]
+        assert not np.array_equal(a[0], c[0])
 
 
 class TestSmallPart:
@@ -96,11 +95,10 @@ class TestAssemble:
     def test_no_jumps_identity(self):
         m = pure_jump_model()
         small = simulate_small_part(m, SimConfig(32, 2))
-        assert assemble_levy_path(small, []) is small
+        assert assemble_levy_path(small, np.zeros(0), np.zeros((0, 1))) is small
 
     def test_single_jump_step(self):
-        z = JumpRecord(0.5, [2.0])
-        path = assemble_levy_path(CadlagPath.zero(1), [z])
+        path = assemble_levy_path(CadlagPath.zero(1), [0.5], [[2.0]])
         assert path.value_at(0.25) == 0.0
         assert path.value_at(0.75) == 2.0
         assert list(path.jump_times) == [0.5]
@@ -108,16 +106,20 @@ class TestAssemble:
     def test_largest_jump_consistency(self):
         m = LevyModel(1, 3.0, 1.2, [([1.0], 1.0)], diffusion=[[0.5]], drift=[0.2])
         for r in range(50):
-            path, jumps = simulate_levy_path(m, SimConfig(64, 21, r))
-            if jumps:
-                biggest = max(jumps, key=lambda j: np.linalg.norm(j.size))
-                assert largest_jump_time(path) == biggest.time
+            cfg = SimConfig(64, 21, r)
+            path = simulate_levy_path(m, cfg)
+            times, sizes = simulate_big_jumps(m, cfg)
+            assert np.array_equal(path.jump_times, times)
+            assert np.array_equal(path.jump_sizes, sizes)
+            if len(times):
+                biggest = np.argmax(np.linalg.norm(sizes, axis=1))
+                assert largest_jump_time(path) == times[biggest]
 
 
 class TestIntegrand:
     def test_constant_flat(self):
         p = simulate_integrand(ConstantIntegrand([2.0, 3.0]), SimConfig(8, 1))
-        assert np.all(p.values == [2.0, 3.0]) and p.caglad
+        assert np.all(p.values == [2.0, 3.0])
 
     def test_deterministic_exponential(self):
         p = simulate_integrand(DeterministicIntegrand.exponential(1.0, -1.0),
@@ -164,9 +166,9 @@ class TestStochasticIntegral:
         m = LevyModel(1, 2.0, 1.2, [([1.0], 0.7), ([-1.0], 0.3)],
                       diffusion=[[0.5]], drift=[0.3])
         for r in range(20):
-            x, jumps = simulate_levy_path(m, SimConfig(256, 31, r))
+            x = simulate_levy_path(m, SimConfig(256, 31, r))
             y = simulate_integrand(ConstantIntegrand([1.0]), SimConfig(256, 31, r),
-                                   times=[j.time for j in jumps])
+                                   times=x.jump_times)
             w = stochastic_integral(y, x)
             assert np.array_equal(w.jump_sizes, x.jump_sizes)
             assert np.array_equal(w.jump_times, x.jump_times)
@@ -174,7 +176,7 @@ class TestStochasticIntegral:
             assert err <= 1e-12
 
     def test_single_jump_deterministic_integrand(self):
-        x = assemble_levy_path(CadlagPath.zero(1), [JumpRecord(0.5, [2.0])])
+        x = assemble_levy_path(CadlagPath.zero(1), [0.5], [[2.0]])
         y = simulate_integrand(DeterministicIntegrand.exponential(1.0, -1.0),
                                SimConfig(64, 1), times=[0.5])
         w = stochastic_integral(y, x)
@@ -189,7 +191,7 @@ class TestStochasticIntegral:
         for gs in (250, 500, 1000):
             grid = np.linspace(0, 1, gs + 1)
             x = CadlagPath(grid, grid[:, None])
-            y = CadlagPath(grid, grid[:, None], caglad=True)
+            y = CadlagPath(grid, grid[:, None])
             w = stochastic_integral(y, x)
             errors.append(abs(float(w.values[-1, 0]) - 0.5))
         assert errors[-1] <= 1e-3
@@ -218,11 +220,10 @@ class TestStochasticIntegral:
         # the driver's jump times), so a * y1 + b * y2 is a pointwise sum
         m, spec1, spec2 = self.LINEARITY_CASES[case]
         cfg = SimConfig(128, seed, 1)
-        x, jumps = simulate_levy_path(m, cfg)
-        jt = [j.time for j in jumps]
-        y1 = simulate_integrand(spec1, cfg, times=jt)
-        y2 = simulate_integrand(spec2, cfg, times=jt)
-        comb = CadlagPath(y1.grid, a * y1.values + b * y2.values, caglad=True)
+        x = simulate_levy_path(m, cfg)
+        y1 = simulate_integrand(spec1, cfg, times=x.jump_times)
+        y2 = simulate_integrand(spec2, cfg, times=x.jump_times)
+        comb = CadlagPath(y1.grid, a * y1.values + b * y2.values)
         w = stochastic_integral(comb, x)
         w1 = stochastic_integral(y1, x)
         w2 = stochastic_integral(y2, x)
@@ -234,9 +235,9 @@ class TestStochasticIntegral:
 
     def test_constant_integrand_matches_product(self):
         m = LevyModel(1, 2.0, 1.5, [([1.0], 1.0)], drift=[0.5])
-        x, jumps = simulate_levy_path(m, SimConfig(128, 19, 0))
+        x = simulate_levy_path(m, SimConfig(128, 19, 0))
         y = simulate_integrand(ConstantIntegrand([2.5]), SimConfig(128, 19, 0),
-                               times=[j.time for j in jumps])
+                               times=x.jump_times)
         w = stochastic_integral(y, x)
         p = cw_product(y, x)
         assert np.array_equal(w.jump_sizes, p.jump_sizes)
@@ -245,11 +246,11 @@ class TestStochasticIntegral:
     def test_predictability_left_limit_evaluation(self):
         # changing y from the jump time on (keeping its left limit) must not
         # change any jump contribution
-        x = assemble_levy_path(CadlagPath.zero(1), [JumpRecord(0.5, [3.0])])
+        x = assemble_levy_path(CadlagPath.zero(1), [0.5], [[3.0]])
         grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        y1 = CadlagPath(grid, np.array([[1.0], [1.0], [1.0], [1.0], [1.0]]), caglad=True)
+        y1 = CadlagPath(grid, np.array([[1.0], [1.0], [1.0], [1.0], [1.0]]))
         bumped = np.array([[1.0], [1.0], [1.0], [9.0], [9.0]])
-        y2 = CadlagPath(grid, bumped, caglad=True)
+        y2 = CadlagPath(grid, bumped)
         w1 = stochastic_integral(y1, x)
         w2 = stochastic_integral(y2, x)
         assert np.array_equal(w1.jump_sizes, w2.jump_sizes)
@@ -262,18 +263,16 @@ class TestStochasticIntegral:
 class TestOneJumpIntegral:
     def test_unit_integrand_matches_one_step(self):
         m = LevyModel(1, 2.0, 1.5, [([1.0], 1.0)], diffusion=[[0.3]])
-        x, jumps = simulate_levy_path(m, SimConfig(64, 23, 2))
+        x = simulate_levy_path(m, SimConfig(64, 23, 2))
         y = simulate_integrand(ConstantIntegrand([1.0]), SimConfig(64, 23, 2),
-                               times=[j.time for j in jumps])
+                               times=x.jump_times)
         a = one_jump_integral(y, x)
         b = one_step_approx(x)
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.allclose(a.jump_sizes, b.jump_sizes)
 
     def test_componentwise_largest_jump(self):
-        x = assemble_levy_path(
-            CadlagPath.zero(2),
-            [JumpRecord(0.2, [3.0, 3.0]), JumpRecord(0.7, [5.0, 5.0])])
+        x = assemble_levy_path(CadlagPath.zero(2), [0.2, 0.7], [[3.0, 3.0], [5.0, 5.0]])
         y = simulate_integrand(ConstantIntegrand([2.0, 3.0]), SimConfig(8, 1))
         w = one_jump_integral(y, x)
         assert largest_jump_time(w) == 0.7
@@ -302,8 +301,8 @@ class TestBatchFunctionals:
         ref = np.empty(6000)
         for r in range(len(ref)):
             cfg = SimConfig(128, 999, r)
-            x, jumps = simulate_levy_path(m, cfg)
-            y = simulate_integrand(spec, cfg, times=[j.time for j in jumps])
+            x = simulate_levy_path(m, cfg)
+            y = simulate_integrand(spec, cfg, times=x.jump_times)
             ref[r] = float(stochastic_integral(y, x).values[-1, 0])
         for u in (2.0, 5.0):
             pb = (endpoint > u).mean()
@@ -334,15 +333,16 @@ class TestBatchFunctionals:
             rng = substream(seed, k, JUMP_STREAM)
             times, sizes = levy_sim._jump_marks(model, rng,
                                                 int(rng.poisson(model.big_jump_intensity)))
-            jumps = [JumpRecord(times[i], sizes[i]) for i in np.argsort(times)]
-            x = assemble_levy_path(simulate_small_part(model, cfg), jumps)
+            order = np.argsort(times)
+            x = assemble_levy_path(simulate_small_part(model, cfg), times[order],
+                                   sizes[order])
             y = simulate_integrand(spec, cfg, times=times)
             w = stochastic_integral(y, x)
             left, right = w._sides_at(w.grid[w.grid <= t])
             np.testing.assert_allclose([endpoint[k], runsup[k]],
                                        [w.value_at(t)[0], max(left.max(), right.max())],
                                        rtol=1e-12)
-            several += len(jumps) > 1
+            several += len(times) > 1
         assert several > n // 4
 
     def test_deterministic_in_seed(self):

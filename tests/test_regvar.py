@@ -1,12 +1,11 @@
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, SimConfig, simulate_integrand)
-from bigjump.regvar import (EndpointExceedance, RegVarMeasure, ScalingSequence,
-                            mu_tail, weighted_one_step_mass)
+from bigjump.regvar import RegVarMeasure, ScalingSequence, mu_tail, weighted_one_step_mass
 
 POS = lambda s: s[0] > 0
 
@@ -77,51 +76,62 @@ def _const_sampler(value, grid_size=64):
 
 class TestWeightedOneStepMass:
     def test_unit_integrand_reproduces_unweighted(self):
-        # zero-variance case: Y == 1 must match t times the cone mass, on and
-        # off the grid, with and without a direction predicate
-        m = two_sided()
-        regions = [EndpointExceedance(1.0, 2.0), EndpointExceedance(0.5, 2.0, POS),
-                   EndpointExceedance(0.7, 3.0), EndpointExceedance(0.3, 1.5, POS)]
-        for region in regions:
-            est = weighted_one_step_mass(m, _const_sampler([1.0]), region, 40, seed=3)
-            assert est.value == pytest.approx(region.t * mu_tail(m, region.u, region.predicate),
-                                              abs=1e-12)
-            assert est.stderr == 0.0
+        # zero-variance case: Y == 1 gives t times the mass of {x > 1}
+        m = two_sided(w_pos=0.3)
+        for t in (1.0, 0.75, 0.5, 1 / 64):
+            mass = weighted_one_step_mass(m, _const_sampler([1.0]), t, 40, seed=3)
+            assert mass == pytest.approx(t * mu_tail(m, 1.0, POS), rel=1e-13)
 
     def test_constant_scales_power_law(self):
-        m = one_sided()
-        y0 = 3.0
-        est = weighted_one_step_mass(m, _const_sampler([y0]),
-                                     EndpointExceedance(1.0, 2.0, POS), 20, seed=3)
-        assert est.value == pytest.approx(y0 ** 1.5 * 2.0 ** -1.5, rel=1e-12)
+        # a negative constant moves all mass to the negative atoms
+        for y0, m, want in ((3.0, one_sided(), 3.0 ** 1.5),
+                            (-3.0, one_sided(), 0.0),
+                            (-3.0, two_sided(w_pos=0.3), 0.7 * 3.0 ** 1.5)):
+            mass = weighted_one_step_mass(m, _const_sampler([y0]), 1.0, 20, seed=3)
+            assert mass == pytest.approx(want, rel=1e-13)
+
+    def test_sign_changing_integrand(self):
+        # y_v = 1 - 2v: the positive atom counts on [0, 1/2), the negative one
+        # on (1/2, 1], each with integral 1/4 of |1 - 2v| at alpha = 1
+        grid = np.linspace(0.0, 1.0, 65)
+        path = SimpleNamespace(grid=grid, values=(1.0 - 2.0 * grid)[:, None])
+        m = RegVarMeasure(1.0, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
+        mass = weighted_one_step_mass(m, lambda rng: path, 1.0, 1, seed=1)
+        assert mass == pytest.approx(2.0 * (0.6 + 0.4) / 4, rel=1e-14)
+        assert weighted_one_step_mass(m, lambda rng: path, 0.5, 1, seed=1) == \
+            pytest.approx(2.0 * 0.6 / 4, rel=1e-14)
 
     def test_exponential_integrand_endpoint(self):
-        # frozen from the analytic integral of exp(-alpha s) over [0, 1]
+        # frozen from the analytic integral of exp(-alpha s) over [0, 1], at
+        # level 10 (homogeneity: the mass at u is u**-alpha times that at 1)
         m = one_sided()
         cfg = SimConfig(grid_size=4096, seed=1)
         sampler = lambda rng: simulate_integrand(
             DeterministicIntegrand.exponential(1.0, -1.0), cfg)
-        est = weighted_one_step_mass(m, sampler, EndpointExceedance(1.0, 10.0, POS),
-                                     4, seed=5)
-        assert est.value == pytest.approx(0.016377854262808043, abs=1e-8)
-        assert est.stderr == 0.0
+        mass = weighted_one_step_mass(m, sampler, 1.0, 4, seed=5)
+        assert mass * 10.0 ** -1.5 == pytest.approx(0.016377854262808043, abs=1e-8)
 
-    def test_seed_determinism_and_error_decay(self):
+    def test_seed_determinism(self):
         m = one_sided()
         spec = ExpOUIntegrand(rate=1.0, vol=0.6, initial=1.0)
 
         def sampler(rng):
             return simulate_integrand(spec, SimConfig(64, 9, int(rng.integers(2 ** 62)) % 2 ** 61))
 
-        region = EndpointExceedance(1.0, 2.0)
-        a = weighted_one_step_mass(m, sampler, region, 300, seed=17)
-        b = weighted_one_step_mass(m, sampler, region, 300, seed=17)
-        assert a == b
-        c = weighted_one_step_mass(m, sampler, region, 3000, seed=17)
-        shrink = a.stderr / c.stderr
-        assert math.sqrt(10) / 2 < shrink < math.sqrt(10) * 2
+        a = weighted_one_step_mass(m, sampler, 1.0, 300, seed=17)
+        assert a == weighted_one_step_mass(m, sampler, 1.0, 300, seed=17)
+        assert a != weighted_one_step_mass(m, sampler, 1.0, 300, seed=18)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            weighted_one_step_mass(two_sided(), _const_sampler([1.0]),
-                                   EndpointExceedance(1.0, 1.0), 0, seed=1)
+            weighted_one_step_mass(two_sided(), _const_sampler([1.0]), 1.0, 0, seed=1)
+
+    @pytest.mark.parametrize("t", [0.7, 0.3, 0.0, -0.5, 1.5])
+    def test_rejects_t_off_the_grid(self, t):
+        with pytest.raises(ValueError, match="grid time"):
+            weighted_one_step_mass(two_sided(), _const_sampler([1.0]), t, 1, seed=1)
+
+    def test_rejects_multidimensional_measure(self):
+        m = RegVarMeasure(1.5, 1.0, [([1.0, 0.0], 1.0)])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            weighted_one_step_mass(m, _const_sampler([1.0, 1.0]), 1.0, 1, seed=1)
