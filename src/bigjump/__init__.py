@@ -9,7 +9,7 @@ from .diagnostics import (ConditionalDistanceCurve, HillEstimate, RatioEstimate,
                           TailEstimate, TrendPoint, analytic_prediction,
                           breiman_ratio, double_jump_trend, hill,
                           maximal_product_bound, one_big_jump_curve,
-                          tail_equivalence, tail_prob)
+                          tail_equivalence)
 from .experiments import RunManifest, ValidationError, config_hash, run, validate
 from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
                        IntegrandSpec, LevyModel, SimConfig,

@@ -19,7 +19,7 @@ calls ``fn(index, start, stop)`` on consecutive ranges covering [0, n) and
 returns the results in chunk order, so a merge over them is the same for any
 ``threads``.  The callers key their streams from the range as follows:
 
-- ``tail_prob`` and ``maximal_product_bound``: (seed, index, AUX_STREAM);
+- ``maximal_product_bound``: (seed, index, AUX_STREAM);
 - ``breiman_ratio``: (seed, index, AUX_STREAM) for X and
   (seed, index, AUX_STREAM + 1) for Y;
 - ``double_jump_trend``: one stream (seed, i, AUX_STREAM) per ``n_values``
@@ -28,13 +28,13 @@ returns the results in chunk order, so a merge over them is the same for any
   entries, each running its own chunks on one thread);
 - ``weighted_one_step_mass``: (seed, start, AUX_STREAM);
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag;
-- ``one_big_jump_curve``: blocks and their screening sub-blocks draw each
-  replicate r from (seed, r, tag), so the split does not show in its counts.
+- ``one_big_jump_curve``: its screening blocks draw each replicate r from
+  (seed, r, tag), so the split does not show in its counts.
 
-Every caller but ``tail_prob`` and ``weighted_one_step_mass`` runs on
-``threads`` > 1 when ``bigjump run --threads`` asks for it: the one-big-jump
-blocks, the batch sampler (tails and tail-equivalence), ``breiman_ratio``,
-and ``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks).
+The batch sampler (tails and tail-equivalence), ``breiman_ratio``, and
+``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks) run on
+``threads`` > 1 when ``bigjump run --threads`` asks for it;
+``weighted_one_step_mass`` and ``one_big_jump_curve`` run on one thread.
 """
 
 from __future__ import annotations

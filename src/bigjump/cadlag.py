@@ -101,12 +101,9 @@ class CadlagPath:
 
     @classmethod
     def step(cls, time: float, size: Sequence[float]) -> "CadlagPath":
-        """The one-step path size * 1_[time, 1]."""
+        """The one-step path size * 1_[time, 1], for a jump time in (0, 1]."""
         size = np.atleast_1d(np.asarray(size, dtype=float))
         d = size.shape[0]
-        if time <= 0:
-            # a step at 0 is a constant path with no recorded discontinuity
-            return cls(np.array([0.0, 1.0]), np.tile(size, (2, 1)))
         grid = np.unique(np.array([0.0, float(time), 1.0]))
         values = np.where((grid >= time)[:, None], size, np.zeros(d))
         return cls(grid, values, np.array([float(time)]), size[None, :])

@@ -126,20 +126,6 @@ class ConditionalDistanceCurve:
         return float(np.polyfit(lx, py, 1)[0])
 
 
-def tail_prob(sampler: BatchSampler, u: float, n: int, seed: int) -> TailEstimate:
-    """Crude Monte Carlo exceedance probability P(sample > u).
-
-    ``sampler(rng, size)`` must return a batch of scalar replicates; batches
-    use counter-based sub-streams, so the estimate is deterministic in
-    ``seed`` for any n.
-    """
-    if u <= 0:
-        raise ValueError("level must be positive")
-    hits = chunks(n, _CHUNK, lambda i, start, stop: int(np.count_nonzero(
-        sampler(substream(seed, i, AUX_STREAM), stop - start) > u)))
-    return TailEstimate(u, n, sum(hits))
-
-
 def hill(sample: Sequence[float], k: int) -> HillEstimate:
     """Hill tail-index estimate from the k largest order statistics."""
     x = np.asarray(sample, dtype=float)
@@ -231,10 +217,8 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
 # One-big-jump conditional distance curves
 # ---------------------------------------------------------------------------
 
-# Replicates per task of ``one_big_jump_curve``, and per screening sub-block
-# inside a task; small sub-blocks keep the padded arrays, and so peak memory,
-# small.
-_BLOCK = 1024
+# Replicates per screening block of ``one_big_jump_curve``; small blocks keep
+# the padded arrays, and so peak memory, small.
 _SCREEN_BLOCK = 64
 # Relative margin around a decision threshold inside which a screened value
 # is not trusted and the replicate is rebuilt exactly.  The screening values
@@ -398,9 +382,8 @@ def _add_counts(counts: np.ndarray, cond_sup, cond_jump, exceeds, keep) -> None:
 
 def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
                        epsilon: float, levels: Sequence[float], n: int, seed: int,
-                       grid_size: int = 256, refinement: int = 4,
-                       threads: int = 1) -> tuple[ConditionalDistanceCurve,
-                                                  ConditionalDistanceCurve]:
+                       grid_size: int = 256, refinement: int = 4
+                       ) -> tuple[ConditionalDistanceCurve, ConditionalDistanceCurve]:
     """Conditional probabilities that the rescaled process strays from its
     one-jump approximation, under both conditionings.
 
@@ -416,10 +399,9 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
     distance from above), so the dynamic program only runs on the ambiguous
     band.  One replicate pool is shared across all levels.
 
-    Replicates run in two phases, in blocks of ``_BLOCK`` (one block per task
-    when ``threads`` > 1):
+    Replicates run in two phases, on one thread:
 
-    1. Screening (``_screen``): sub-blocks of ``_SCREEN_BLOCK`` replicates are
+    1. Screening (``_screen``): blocks of ``_SCREEN_BLOCK`` replicates are
        regenerated from their keyed streams and their sup norm, jump norm,
        uniform distance and lower bound computed as arrays, with no path
        objects.
@@ -465,11 +447,11 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
         flags = _carry(levels, epsilon, [s], [ja], [udist], [lower], j1_exceeds)[:3]
         _add_counts(counts, *flags, True)
 
-    def screen_block(reps: range) -> np.ndarray:
+    def screen_block(i: int, start: int, stop: int) -> np.ndarray:
         # rows: [sup hits, sup exceed, jump hits, jump exceed] per level
         counts = np.zeros((4, len(levels)), dtype=np.int64)
-        s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed, reps,
-                                                        grid_size)
+        s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed,
+                                                        range(start, stop), grid_size)
         cond_sup, cond_jump, exceeds, undecided = _carry(levels, epsilon,
                                                          s, ja, udist, lower)
         survive = (irregular | undecided
@@ -477,16 +459,11 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
                    | _near(udist, epsilon * thresholds, scale)
                    | _near(lower, epsilon * thresholds, scale))
         _add_counts(counts, cond_sup, cond_jump, exceeds, ~survive)
-        for rep in np.asarray(reps)[survive]:
+        for rep in np.arange(start, stop)[survive]:
             exact(int(rep), counts)
         return counts
 
-    def block(i: int, start: int, stop: int) -> np.ndarray:
-        return np.sum(chunks(stop - start, _SCREEN_BLOCK,
-                             lambda j, a, b: screen_block(range(start + a, start + b))),
-                      axis=0)
-
-    counts = np.sum(chunks(n, _BLOCK, block, threads), axis=0)
+    counts = np.sum(chunks(n, _SCREEN_BLOCK, screen_block), axis=0)
 
     def curve(row_hits: int, row_exc: int, label: str) -> ConditionalDistanceCurve:
         ests = tuple(TailEstimate(levels[i], int(counts[row_hits, i]),

@@ -217,7 +217,8 @@ def parse(config: dict) -> SimpleNamespace:
     defaults resolved.  Raises ValidationError with every violation.
 
     Besides the keys of its own kind, a config may hold keys that another
-    kind reads (``bigjump paths`` runs any kind's config); those are ignored.
+    kind reads; those are ignored, so ``bigjump paths`` runs any config that
+    has the keys ``paths`` requires (a model and an integrand).
     """
     if not isinstance(config, dict):
         raise ValidationError(["config must be a JSON object"])
@@ -314,7 +315,7 @@ def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
                       threads: int) -> list[str]:
     sup_curve, jump_curve = one_big_jump_curve(
         spec.model, spec.integrand, spec.epsilon, spec.levels, spec.n, spec.seed,
-        grid_size=spec.grid_size, refinement=spec.refinement, threads=threads)
+        grid_size=spec.grid_size, refinement=spec.refinement)
     names = []
     for curve in (sup_curve, jump_curve):
         rows = [[u, None if e is None else e.p_hat, None if e is None else e.stderr,

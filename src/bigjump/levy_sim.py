@@ -7,9 +7,10 @@ part with Pareto radii on [1, inf) and spectral directions, so the induced
 d-space limit measure has intensity equal to the jump rate and exact power-law
 cone masses.
 
-Integrands are predictable caglad paths: constants, deterministic functions,
-or an exponential Ornstein-Uhlenbeck volatility driven by its own noise
-stream.  Evaluating an integrand at a jump time always uses its left limit.
+Integrands are predictable caglad paths: constants, deterministic
+exponentials scale * exp(rate * t), or an exponential Ornstein-Uhlenbeck
+volatility driven by its own noise stream.  Evaluating an integrand at a
+jump time always uses its left limit.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, replicate_index, stream tag); identical keys reproduce bit-identical
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -133,35 +134,26 @@ class ConstantIntegrand:
 
 @dataclass(frozen=True)
 class DeterministicIntegrand:
-    """Deterministic integrand t -> d-vector, strictly positive sup norm.
+    """Deterministic integrand t -> scale * exp(rate * t), one-dimensional."""
 
-    ``fn`` takes an array of times (m,) and returns values (m,) or (m, d).
-    The optional ``descriptor`` makes the spec serializable; use
-    :meth:`exponential` for the built-in serializable family scale*exp(rate*t).
-    """
+    scale: float
+    rate: float = 0.0
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    descriptor: Optional[dict] = None
-
-    @classmethod
-    def exponential(cls, scale: float = 1.0, rate: float = 0.0) -> "DeterministicIntegrand":
-        if scale == 0 or not (math.isfinite(scale) and math.isfinite(rate)):
+    def __post_init__(self):
+        if self.scale == 0 or not (math.isfinite(self.scale) and math.isfinite(self.rate)):
             raise ValueError("scale must be finite and nonzero, and rate finite")
         with np.errstate(over="ignore"):
             # the largest value on [0, 1], computed as the integrand computes it
-            peak = scale * np.exp(max(rate, 0.0))
+            peak = self.scale * np.exp(max(self.rate, 0.0))
         if not np.isfinite(peak):
-            raise ValueError(f"scale * exp(rate * t) overflows on [0, 1] for scale {scale} "
-                             f"and rate {rate}")
-        return cls(lambda t: scale * np.exp(rate * np.asarray(t)),
-                   {"variant": "deterministic", "form": "exp",
-                    "scale": float(scale), "rate": float(rate)})
+            raise ValueError(f"scale * exp(rate * t) overflows on [0, 1] for scale "
+                             f"{self.scale} and rate {self.rate}")
+        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "rate", float(self.rate))
 
     def to_dict(self) -> dict:
-        if self.descriptor is None:
-            raise ValueError("a raw deterministic integrand is not serializable; "
-                             "use DeterministicIntegrand.exponential")
-        return dict(self.descriptor)
+        return {"variant": "deterministic", "form": "exp", "scale": self.scale,
+                "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -182,6 +174,14 @@ class ExpOUIntegrand:
             raise ValueError("rate and vol must be finite and nonnegative")
         if not 0 < self.initial < math.inf:
             raise ValueError("initial value must be finite and positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # _ou_exponent's running sum at time t is normal with deviation
+            # exp(rate * t) times that of one step of length t, so one step over
+            # [0, 1] driven by 64 (beyond any normal draw or sum) bounds it
+            probe = _ou_exponent(self.rate, self.vol, np.array([0.0, 1.0]), np.array([64.0]))
+        if not np.all(np.isfinite(probe)):
+            raise ValueError(f"rate {self.rate} with vol {self.vol} overflows the OU "
+                             f"integrating factor exp(rate * t) on [0, 1]")
 
     def to_dict(self) -> dict:
         return {"variant": "exp_ou", "rate": self.rate, "vol": self.vol,
@@ -198,7 +198,7 @@ def integrand_from_dict(obj: dict) -> IntegrandSpec:
     if variant == "deterministic":
         if obj.get("form") != "exp":
             raise ValueError(f"unknown deterministic integrand form: {obj.get('form')}")
-        return DeterministicIntegrand.exponential(obj["scale"], obj["rate"])
+        return DeterministicIntegrand(obj["scale"], obj["rate"])
     if variant == "exp_ou":
         return ExpOUIntegrand(obj["rate"], obj["vol"], obj["initial"])
     raise ValueError(f"unknown integrand variant: {variant}")
@@ -277,12 +277,7 @@ def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
     if isinstance(spec, ConstantIntegrand):
         return np.tile(spec.value, grid.shape + (1,))
     if isinstance(spec, DeterministicIntegrand):
-        values = np.asarray(spec.fn(grid.reshape(-1)), dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != grid.size:
-            raise ValueError("deterministic integrand must return one value per time")
-        return values.reshape(grid.shape + values.shape[1:])
+        return (spec.scale * np.exp(spec.rate * grid))[..., None]
     if isinstance(spec, ExpOUIntegrand):
         u = _ou_exponent(spec.rate, spec.vol, grid, z)
         np.exp(u, out=u)
@@ -362,21 +357,16 @@ def stochastic_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
     grid = np.union1d(y.grid, x.grid)
     xr = x._sides_at(grid)[1]
     jt, js = x.jump_times, x.jump_sizes
-    if len(jt):
-        cum = np.vstack([np.zeros(x.dimension), np.cumsum(js, axis=0)])
-        xc = xr - cum[np.searchsorted(jt, grid, side="right")]
-        yj = y._sides_at(jt)[0]
-        wj = yj * js
-        jump_cum = np.vstack([np.zeros(x.dimension), np.cumsum(wj, axis=0)])
-        jump_part = jump_cum[np.searchsorted(jt, grid, side="right")]
-    else:
-        xc = xr
-        wj = np.zeros((0, x.dimension))
-        jump_part = 0.0
+    after = np.searchsorted(jt, grid, side="right")  # jumps at or before each time
+    cum = np.vstack([np.zeros(x.dimension), np.cumsum(js, axis=0)])
+    xc = xr - cum[after]
+    yj = y._sides_at(jt)[0]
+    wj = yj * js
+    jump_cum = np.vstack([np.zeros(x.dimension), np.cumsum(wj, axis=0)])
     yr = y._sides_at(grid)[1]
     inc = yr[:-1] * np.diff(xc, axis=0)
     riemann = np.vstack([np.zeros(x.dimension), np.cumsum(inc, axis=0)])
-    return CadlagPath(grid, riemann + jump_part, jt, wj)
+    return CadlagPath(grid, riemann + jump_cum[after], jt, wj)
 
 
 def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:

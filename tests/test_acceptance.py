@@ -65,7 +65,7 @@ def test_criterion_2_analytic_tail_reproduction():
     const = (1.0 - math.exp(-1.5)) / 1.5
     assert const == pytest.approx(0.5179132265677134, rel=1e-14)
     model = bj.LevyModel(1, 1.0, 1.5, [([1.0], 1.0)])
-    integrand = bj.DeterministicIntegrand.exponential(1.0, -1.0)
+    integrand = bj.DeterministicIntegrand(1.0, -1.0)
     measure = model.induced_measure()
 
     start = time.perf_counter()

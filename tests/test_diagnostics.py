@@ -8,7 +8,7 @@ from bigjump import diagnostics, levy_sim
 from bigjump.cadlag import j1_within, one_step_approx, sup_norm, uniform_distance
 from bigjump.diagnostics import (TailEstimate, analytic_prediction, breiman_ratio,
                                  double_jump_trend, hill, maximal_product_bound,
-                                 one_big_jump_curve, tail_equivalence, tail_prob)
+                                 one_big_jump_curve, tail_equivalence)
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, one_jump_integral,
@@ -27,10 +27,6 @@ class TestTailProb:
         e = TailEstimate(1.0, 400, 25)
         assert e.p_hat == 25 / 400
         assert e.stderr == math.sqrt(e.p_hat * (1 - e.p_hat) / 400)
-
-    def test_degenerate_zero(self):
-        est = tail_prob(lambda rng, size: np.zeros(size), 1.0, 500, seed=1)
-        assert est.p_hat == 0.0
 
     def test_wilson_at_zero_hits(self):
         # the Wald error is 0 here; the Wilson interval keeps its width
@@ -58,23 +54,6 @@ class TestTailProb:
         assert TailEstimate(1.0, 400, 25).wilson(z=1.0)[1] < wide[1]
         with pytest.raises(ValueError):
             TailEstimate(1.0, 400, 25).wilson(z=0.0)
-
-    def test_degenerate_sure_hit(self):
-        est = tail_prob(lambda rng, size: np.full(size, 2.0), 1.0, 500, seed=1)
-        assert est.p_hat == 1.0 and est.stderr == 0.0
-
-    def test_pareto_oracle(self):
-        est = tail_prob(pareto_sampler(1.5), 4.0, 200000, seed=5)
-        assert abs(est.p_hat - 0.125) < 3 * est.stderr
-
-    def test_deterministic(self):
-        a = tail_prob(pareto_sampler(1.5), 4.0, 30000, seed=9)
-        b = tail_prob(pareto_sampler(1.5), 4.0, 30000, seed=9)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tail_prob(lambda rng, size: np.zeros(size), 0.0, 10, 1)
 
 
 class TestHill:
@@ -194,14 +173,6 @@ class TestOneBigJumpCurve:
         with pytest.raises(ValueError):
             one_big_jump_curve(m, None, 0.1, [4.0, 2.0], 10, 1)
 
-    def test_threads_reproduce_sequential(self):
-        m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.2]])
-        a = one_big_jump_curve(m, None, 0.1, [2.0, 4.0], 1500, seed=6,
-                               grid_size=32, threads=1)
-        b = one_big_jump_curve(m, None, 0.1, [2.0, 4.0], 1500, seed=6,
-                               grid_size=32, threads=3)
-        assert a == b
-
     def test_pure_single_jump_never_strays(self):
         # replicates with exactly one jump and no light part have W == W_approx
         m = LevyModel(1, 1e-9, 1.5, [([1.0], 1.0)])
@@ -224,7 +195,7 @@ AXES_2D = LevyModel(2, 2.0, 1.2, [([1.0, 0.0], 0.25), ([-1.0, 0.0], 0.25),
 SCREEN_CASES = [
     pytest.param(OU_MODEL, ExpOUIntegrand(2.0, 0.25, 1.0), 128, id="exp-ou"),
     pytest.param(MIXED_MODEL, ConstantIntegrand([2.0]), 32, id="constant"),
-    pytest.param(MIXED_MODEL, DeterministicIntegrand.exponential(1.0, -1.0), 50,
+    pytest.param(MIXED_MODEL, DeterministicIntegrand(1.0, -1.0), 50,
                  id="deterministic"),
     pytest.param(AXES_2D, None, 64, id="raw-2d"),
 ]
@@ -301,7 +272,7 @@ class TestTwoPhaseScreening:
     ]
 
     @pytest.mark.parametrize("model, integrand, epsilon, levels", CURVE_CASES)
-    @pytest.mark.parametrize("mode", ["screened", "all-survive", "threads"])
+    @pytest.mark.parametrize("mode", ["screened", "all-survive", "partial-block"])
     def test_curves_match_reference_loop(self, monkeypatch, model, integrand, epsilon,
                                          levels, mode):
         n, seed, grid_size, refinement = 250, 17, 32, 2
@@ -319,13 +290,11 @@ class TestTwoPhaseScreening:
         monkeypatch.setattr(diagnostics, "j1_within", counting_j1)
         if mode == "all-survive":
             monkeypatch.setattr(diagnostics, "_MARGIN", 1e9)
-        if mode == "threads":
-            # several blocks, with sub-blocks that do not divide them
-            monkeypatch.setattr(diagnostics, "_BLOCK", 96)
+        if mode == "partial-block":
+            # blocks that do not divide n, so the last one is partial
             monkeypatch.setattr(diagnostics, "_SCREEN_BLOCK", 40)
         curves = one_big_jump_curve(model, integrand, epsilon, levels, n, seed,
-                                    grid_size=grid_size, refinement=refinement,
-                                    threads=2 if mode == "threads" else 1)
+                                    grid_size=grid_size, refinement=refinement)
         want, want_dp = reference_counts(model, integrand, epsilon, levels, n, seed,
                                          grid_size, refinement)
         assert curve_counts(curves) == want
@@ -379,7 +348,7 @@ class TestAnalyticPrediction:
 
     def test_exponential_integrand(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
-        v = analytic_prediction(m, DeterministicIntegrand.exponential(1.0, -1.0),
+        v = analytic_prediction(m, DeterministicIntegrand(1.0, -1.0),
                                 1.0, 10.0, 8, seed=1, grid_size=4096)
         assert v == pytest.approx(0.016377854262808043, abs=1e-8)
 
@@ -387,7 +356,7 @@ class TestAnalyticPrediction:
     @pytest.mark.parametrize("n_mc", [0, 1, 257, 2048])
     @pytest.mark.parametrize("integrand", [
         pytest.param(ConstantIntegrand([0.7]), id="constant"),
-        pytest.param(DeterministicIntegrand.exponential(1.0, -1.0), id="deterministic"),
+        pytest.param(DeterministicIntegrand(1.0, -1.0), id="deterministic"),
         pytest.param(ExpOUIntegrand(2.0, 0.3, 1.0), id="exp-ou"),
     ])
     def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc):
@@ -488,7 +457,6 @@ class TestDoubleJumpTrend:
 
 
 @pytest.mark.parametrize("estimate", [
-    pytest.param(lambda: tail_prob(pareto_sampler(2.0), 1.0, 0, 1), id="tail_prob"),
     pytest.param(lambda: breiman_ratio(pareto_sampler(2.0), pareto_sampler(2.0), [2.0], 0, 1),
                  id="breiman_ratio"),
     pytest.param(lambda: maximal_product_bound(

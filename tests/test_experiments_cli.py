@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -93,6 +94,7 @@ BAD_CONFIGS = [
     pytest.param(tails_config(integrand={"variant": "deterministic", "form": "exp",
                                          "scale": 1.0, "rate": 800.0}),
                  id="rate-overflow"),
+    pytest.param(tails_config(integrand=dict(EXP_OU, rate=800.0)), id="ou-rate-overflow"),
 ]
 
 
@@ -149,6 +151,19 @@ class TestValidate:
         # decaying rate
         assert validate(tails_config(integrand=dict(exp_y, scale=1.0))) == []
         assert validate(tails_config(integrand=dict(exp_y, rate=-800.0))) == []
+
+    def test_exp_ou_just_inside_the_rate_bound_writes_finite_values(self, tmp_path):
+        # rate 709 with vol 1.2 passes and vol 1.3 overflows exp(rate * t) in
+        # _ou_exponent; past the bound the prediction was NaN and the sup
+        # curve empty
+        ou = dict(EXP_OU, rate=709.0, vol=1.2)
+        assert validate(tails_config(integrand=dict(ou, vol=1.3)))
+        for cfg in (tails_config(n=2000, n_mc_inner=16, integrand=ou, format="json"),
+                    obj_config(n=200, levels=[1.0, 2.0], integrand=ou, format="json")):
+            out = tmp_path / cfg["kind"]
+            for name in run(cfg, out_dir=out).outputs:
+                rows = json.loads((out / name).read_text())["rows"]
+                assert all(v is not None and math.isfinite(v) for row in rows for v in row)
 
     def test_reports_all_violations_at_once(self):
         cfg = tails_config(levels=[3.0, 2.0], n=0, t=7.0)
@@ -327,12 +342,15 @@ class TestCli:
         assert read("a") == read("b") != read("c")
 
     @pytest.mark.parametrize("kind", ["tails", "tail-equivalence", "breiman",
-                                      "lemma-checks"])
+                                      "lemma-checks", "one-big-jump"])
     def test_threads_write_identical_files(self, tmp_path, monkeypatch, kind):
-        # five batches or chunks, so two threads share them
+        # five batches or chunks, so two threads share them; one-big-jump
+        # ignores --threads
         monkeypatch.setattr(levy_sim, "_BATCH", 1000)
         monkeypatch.setattr(diagnostics, "_CHUNK", 1000)
-        if kind == "breiman":
+        if kind == "one-big-jump":
+            cfg = obj_config(n=300, model=MODEL_2D)
+        elif kind == "breiman":
             cfg = breiman_config(n=4500, levels=[1.5, 2.0, 4.0])
         elif kind == "lemma-checks":
             # three entries of different n, each read through five chunks

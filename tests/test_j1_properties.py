@@ -51,3 +51,12 @@ def test_within_is_distance_below_cutoff(x, y, eps, nudge):
     if eps < 1.5:
         eps = d if nudge == 0 else float(np.nextafter(d, nudge * np.inf))
     assert j1_within(x, y, eps, REFINEMENT) == (d <= eps)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@SETTINGS
+@given(data=st.data())
+def test_triangle_inequality(dimension, data):
+    x, y, z = (data.draw(step_paths(dimension=dimension)) for _ in range(3))
+    assert (j1_distance(x, z, REFINEMENT)
+            <= j1_distance(x, y, REFINEMENT) + j1_distance(y, z, REFINEMENT) + 1e-12)

@@ -122,7 +122,7 @@ class TestIntegrand:
         assert np.all(p.values == [2.0, 3.0])
 
     def test_deterministic_exponential(self):
-        p = simulate_integrand(DeterministicIntegrand.exponential(1.0, -1.0),
+        p = simulate_integrand(DeterministicIntegrand(1.0, -1.0),
                                SimConfig(8, 1))
         assert np.allclose(p.values[:, 0], np.exp(-p.grid))
 
@@ -153,12 +153,25 @@ class TestIntegrand:
 
     def test_from_dict_round_trip(self):
         for spec in (ConstantIntegrand([2.0]),
-                     DeterministicIntegrand.exponential(1.0, -1.5),
+                     DeterministicIntegrand(1.0, -1.5),
                      ExpOUIntegrand(1.0, 0.2, 1.0)):
             obj = integrand_from_dict(spec.to_dict())
             assert obj.to_dict() == spec.to_dict()
-        with pytest.raises(ValueError, match="serializable"):
-            DeterministicIntegrand(lambda t: t).to_dict()
+
+    def test_exp_ou_rate_bound(self):
+        # exp(rate * t) * sd * z overflowed in _ou_exponent: such rates are
+        # rejected, and values just inside the bound stay finite
+        for rate, vol in ((800.0, 0.3), (709.8, 0.3), (709.0, 50.0), (709.0, 1.3),
+                          (800.0, 0.0)):
+            with pytest.raises(ValueError, match="overflows the OU integrating factor"):
+                ExpOUIntegrand(rate, vol)
+        spec = ExpOUIntegrand(709.0, 1.2)
+        for r in range(20):
+            p = simulate_integrand(spec, SimConfig(64, 3, r), times=[0.3, 0.999])
+            assert np.all(np.isfinite(p.values))
+        model = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
+        assert all(np.all(np.isfinite(v))
+                   for v in batch_integral_functionals(model, spec, 1.0, 2000, 3, grid_size=64))
 
 
 class TestStochasticIntegral:
@@ -177,7 +190,7 @@ class TestStochasticIntegral:
 
     def test_single_jump_deterministic_integrand(self):
         x = assemble_levy_path(CadlagPath.zero(1), [0.5], [[2.0]])
-        y = simulate_integrand(DeterministicIntegrand.exponential(1.0, -1.0),
+        y = simulate_integrand(DeterministicIntegrand(1.0, -1.0),
                                SimConfig(64, 1), times=[0.5])
         w = stochastic_integral(y, x)
         oj = one_jump_integral(y, x)
@@ -201,7 +214,7 @@ class TestStochasticIntegral:
     LINEARITY_CASES = {
         "1d-deterministic-constant": (
             LevyModel(1, 2.0, 1.5, [([1.0], 1.0)], diffusion=[[0.4]]),
-            DeterministicIntegrand.exponential(1.0, -0.5), ConstantIntegrand([1.5])),
+            DeterministicIntegrand(1.0, -0.5), ConstantIntegrand([1.5])),
         "2d-constants": (
             LevyModel(2, 2.0, 1.5, [([1.0, 0.0], 0.5), ([0.0, -1.0], 0.5)],
                       diffusion=[[0.4, 0.0], [0.1, 0.3]], drift=[0.2, -0.1]),
@@ -295,7 +308,7 @@ class TestBatchFunctionals:
 
     def test_matches_replicate_machinery_statistically(self):
         m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
-        spec = DeterministicIntegrand.exponential(1.0, -1.0)
+        spec = DeterministicIntegrand(1.0, -1.0)
         endpoint, runsup = batch_integral_functionals(m, spec, 1.0, 60000, seed=5,
                                                       grid_size=128)
         ref = np.empty(6000)
@@ -316,7 +329,7 @@ class TestBatchFunctionals:
                                diffusion=[[0.5]], drift=[0.3]),
                      ConstantIntegrand([1.5]), 1.0, id="constant-diffusion"),
         pytest.param(LevyModel(1, 2.0, 1.5, [([1.0], 0.7), ([-1.0], 0.3)]),
-                     DeterministicIntegrand.exponential(2.0, -1.5), 0.75, id="deterministic"),
+                     DeterministicIntegrand(2.0, -1.5), 0.75, id="deterministic"),
     ])
     def test_matches_replicate_paths_on_same_draws(self, monkeypatch, model, spec, t):
         # One replicate per batch: batch k draws from replicate k's jump and
@@ -428,7 +441,7 @@ class TestBatchDifferential:
 
     @pytest.mark.parametrize("batch", [None, 700], ids=["one-batch", "partial-batch"])
     @pytest.mark.parametrize("model, spec, t, grid_size", [
-        pytest.param(pure_jump_model(), DeterministicIntegrand.exponential(1.0, -1.0),
+        pytest.param(pure_jump_model(), DeterministicIntegrand(1.0, -1.0),
                      1.0, 512, id="readme"),
         pytest.param(LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]]),
                      ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 512, id="diffusion-exp-ou"),
@@ -437,7 +450,7 @@ class TestBatchDifferential:
                      ConstantIntegrand([1.5]), 0.5, 512, id="two-sided-half"),
         pytest.param(LevyModel(1, 40.0, 1.5, [([1.0], 0.6), ([-1.0], 0.4)],
                                diffusion=[[0.2]]),
-                     DeterministicIntegrand.exponential(-2.0, -1.5), 1.0, 16,
+                     DeterministicIntegrand(-2.0, -1.5), 1.0, 16,
                      id="many-jumps-per-cell"),
         pytest.param(LevyModel(1, 1.0, 1.2, [([1.0], 1.0)]),
                      ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 128, id="no-diffusion-exp-ou"),

@@ -107,7 +107,7 @@ class TestWeightedOneStepMass:
         m = one_sided()
         cfg = SimConfig(grid_size=4096, seed=1)
         sampler = lambda rng: simulate_integrand(
-            DeterministicIntegrand.exponential(1.0, -1.0), cfg)
+            DeterministicIntegrand(1.0, -1.0), cfg)
         mass = weighted_one_step_mass(m, sampler, 1.0, 4, seed=5)
         assert mass * 10.0 ** -1.5 == pytest.approx(0.016377854262808043, abs=1e-8)
 
