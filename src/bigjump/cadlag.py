@@ -22,7 +22,9 @@ the grid points inside its stretch, warped with the same floating-point
 expressions a single stretch uses, so every cost is exact.  Sweep costs come
 from tables built once per call.  ``j1_distance`` is exact for the chain
 family; ``j1_within`` prunes at its threshold, treating any partial cost above
-it as infinite, and its verdict equals ``j1_distance(x, y) <= eps``.
+it as infinite, and its verdict equals ``j1_distance(x, y) <= eps``.  They
+serve general pairs and criterion 8; the one-big-jump estimator compares with
+a single step, which ``diagnostics._exceeds`` decides in closed form.
 """
 
 from __future__ import annotations

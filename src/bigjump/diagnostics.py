@@ -22,8 +22,7 @@ import numpy as np
 
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                    rekey, substream)
-from .cadlag import (CadlagPath, j1_within, one_step_approx, sup_norm,
-                     uniform_distance)
+from .cadlag import CadlagPath, one_step_approx
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
                        _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
                        batch_integral_functionals, one_jump_integral,
@@ -220,33 +219,24 @@ def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
 # Replicates per screening block of ``one_big_jump_curve``; small blocks keep
 # the padded arrays, and so peak memory, small.
 _SCREEN_BLOCK = 64
-# Relative margin around a decision threshold inside which a screened value
-# is not trusted and the replicate is rebuilt exactly.  The screening values
-# agree with the exact ones to rounding (about 1e-13 relative to the path's
-# magnitude), so the margin leaves four orders of magnitude to spare.
-_MARGIN = 1e-9
 
 
 def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
             reps: Sequence[int], grid_size: int) -> tuple[np.ndarray, ...]:
-    """Phase 1 of ``one_big_jump_curve``: the functionals of whole replicates
-    at once, without building paths.
+    """W and its one-jump approximation for whole replicates at once, without
+    building paths.
 
     Regenerates each replicate's jump, Gaussian and integrand draws from its
     keyed streams (the same draws, in the same order, as the per-replicate
     samplers), pads them to arrays of shape (replicates, grid_size + 1 + kmax)
     on the merged grid and applies the samplers' transforms and the exact
     integral to the arrays.  Padding repeats each replicate's value at time 1,
-    so it changes no maximum.  Returns, per replicate:
-
-    - ``s``: sup norm of W (right values and left limits);
-    - ``ja``: norm of the one-jump approximation's jump;
-    - ``udist``: uniform distance between W and its approximation;
-    - ``lower``: max of the endpoint gap and the sup-norm gap;
-    - ``scale``: ``s`` plus the norms of W's jumps, the magnitude the
-      rounding of the other values is relative to;
-    - ``irregular``: a jump time on the grid or two equal jump times, where
-      the exact path merges grid points and the draw count differs.
+    so it changes no supremum.  Returns ``_exceeds``'s arrays: the merged
+    grid (B, M), W's right values and left limits there (B, M, d), the
+    approximation's jump A (B, d) and its time tau (B,) (A = 0 and tau = 2
+    without jumps); and ``irregular``: a jump time on the grid or two equal
+    jump times, where the exact path merges grid points and the draw count
+    differs.
     """
     d, gs = model.dimension, grid_size
     g = np.linspace(0.0, 1.0, gs + 1)
@@ -312,163 +302,166 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
         wcum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(W, axis=1)], axis=1)
         w = riemann + np.take_along_axis(wcum, count[..., None], axis=1)
 
-    # the approximation is the step A * 1[t >= tau*] at the first largest jump
+    # left limits differ from right values only at the jump positions (a
+    # padded column writes the value at time 1 back unchanged)
+    left = w.copy()
+    left[rows, pos] = w[rows, pos] - W
+    # the approximation is the step A * 1[t >= tau] at the first largest jump
     # of X; A = 0 without jumps (the padded column then wins)
     kstar = np.argmax(np.linalg.norm(Z, axis=2), axis=1)
-    A = W[np.arange(B), kstar]
-    after = np.arange(M) >= np.take_along_axis(pos, kstar[:, None], axis=1)
-    w_jump = np.take_along_axis(w, pos[..., None], axis=1)  # right values at jumps
-    s = np.maximum(np.linalg.norm(w, axis=2).max(axis=1),
-                   np.linalg.norm(w_jump - W, axis=2).max(axis=1))
-    ja = np.linalg.norm(A, axis=1)
-    # left limits differ from right values only at the jump positions, where
-    # the approximation's left limit is A exactly after tau*
-    udist = np.maximum(
-        np.linalg.norm(w - np.where(after[..., None], A[:, None], 0.0), axis=2).max(axis=1),
-        np.linalg.norm(w_jump - W - np.where((np.arange(K) > kstar[:, None])[..., None],
-                                             A[:, None], 0.0), axis=2).max(axis=1))
-    lower = np.maximum(np.linalg.norm(w[:, -1] - A, axis=1), np.abs(s - ja))
-    scale = s + np.linalg.norm(W, axis=2).sum(axis=1)
-    return s, ja, udist, lower, scale, irregular
+    return G, w, left, W[rows[:, 0], kstar], jt[rows[:, 0], kstar], irregular
 
 
-def _carry(levels: Sequence[float], epsilon: float, s, ja, udist, lower,
-           j1_exceeds: Optional[Callable[[int, np.ndarray], np.ndarray]] = None):
-    """Conditioning events and J1 indicators of replicates, per level.
+def _pair_arrays(w: CadlagPath, wa: CadlagPath) -> tuple[np.ndarray, ...]:
+    """``_screen``'s arrays for W and its step (or zero) approximation ``wa``."""
+    if len(wa.jump_times):
+        A, tau = wa.jump_sizes[:1], wa.jump_times[:1]
+    else:
+        A, tau = np.zeros((1, w.dimension)), np.full(1, 2.0)
+    return w.grid[None], w.values[None], w._left[None], A, tau
 
-    Levels are visited from the largest down.  The distance of the
-    u-rescaled pair is nonincreasing in u, so a replicate that exceeded
-    epsilon at a larger conditioned level exceeds it here too; otherwise the
-    uniform distance decides "within" from above, the endpoint and sup-norm
-    gaps decide "exceeds" from below, and a replicate the bounds leave open is
-    passed to ``j1_exceeds(level_index, open_mask)``, which returns its
-    verdicts.  Without ``j1_exceeds`` such a replicate is only flagged.
 
-    Returns (cond_sup, cond_jump, exceeds), each of shape (levels,
-    replicates), and the mask of replicates left open at some level.
+def _exit_fraction(a: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Where, as a fraction of the way from ``a`` to ``b``, the segment's norm
+    leaves the ball of radius ``delta`` (|a| <= delta < |b|): the larger root
+    of |a + f (b - a)|^2 = delta^2, without cancellation; 0 if a = b."""
+    step = b - a
+    p = (a * step).sum(axis=-1)
+    q = (step * step).sum(axis=-1)
+    c = delta * delta - (a * a).sum(axis=-1)
+    root = np.sqrt(np.maximum(p * p + q * c, 0.0))
+    num = np.where(p > 0, c, root - p)
+    den = np.where(p > 0, root + p, q)  # 0 only if a = b
+    return np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, 1.0)
+
+
+def _exceeds(times: np.ndarray, right: np.ndarray, left: np.ndarray, A: np.ndarray,
+             tau: np.ndarray, epsilon: float, levels: Sequence[float]) -> np.ndarray:
+    """Whether d_J1(W/u, A 1[. >= tau]/u) > epsilon, of shape (B, levels),
+    from ``_screen``'s arrays, by the closed form of ``one_big_jump_curve``.
+
+    W is linear between its points, the left limits and right values in time
+    order.  The first point with |W| > delta and the last with |W - A| > delta
+    fix s1 and s2, and their order decides s2 <= s1 unless both lie on one
+    piece.  With A = 0 (no jump, tau = 2) P = Q, so tau never decides.
     """
-    s, ja, udist, lower = (np.asarray(v, dtype=float) for v in (s, ja, udist, lower))
-    shape = (len(levels), len(s))
-    cond_sup, cond_jump, exceeds = (np.zeros(shape, dtype=bool) for _ in range(3))
-    exceeded = np.zeros(len(s), dtype=bool)
-    undecided = np.zeros(len(s), dtype=bool)
-    for i in range(len(levels) - 1, -1, -1):
-        u = levels[i]
-        cond_sup[i], cond_jump[i] = s > u, ja > u
-        active = cond_sup[i] | cond_jump[i]
-        ind = exceeded | ((udist > epsilon * u) & (lower > epsilon * u))
-        open_ = active & ~exceeded & (udist > epsilon * u) & (lower <= epsilon * u)
-        if open_.any():
-            undecided |= open_
-            if j1_exceeds is not None:
-                ind[open_] = j1_exceeds(i, open_)
-        exceeds[i] = active & ind
-        exceeded |= exceeds[i]
-    return cond_sup, cond_jump, exceeds, undecided
+    B, M = times.shape
+    delta = epsilon * np.asarray(levels, dtype=float)
+    points = np.stack([left, right], axis=2).reshape(B, 2 * M, A.shape[1])
+    norm = np.linalg.norm(points, axis=2)
+    gap = np.linalg.norm(points - A[:, None], axis=2)
+    rows = np.arange(B)[:, None]
 
+    def first_above(values: np.ndarray) -> np.ndarray:
+        i = np.argmax(values[:, None, :] > delta[:, None], axis=2)
+        return np.where(values[rows, i] > delta, i, 2 * M)
 
-def _near(value: np.ndarray, thresholds: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Replicates with a value within the screening margin of some threshold."""
-    return np.any(np.abs(value[:, None] - thresholds)
-                  <= _MARGIN * np.maximum(thresholds, scale[:, None]), axis=1)
+    # first point with |W| > delta (2M if none), last with |W - A| > delta (-1 if none)
+    first = first_above(norm)
+    last = 2 * M - 1 - first_above(gap[:, ::-1])
 
+    # s1: the grid time of a right value, or where |W| leaves the ball on the
+    # piece that ends at a left limit
+    m = np.minimum(first // 2, M - 1)
+    k = np.maximum(m - 1, 0)
+    t0, t1 = times[rows, k], times[rows, m]
+    f = _exit_fraction(right[rows, k], left[rows, m], delta)
+    s1 = np.where(first == 2 * M, np.inf,
+                  np.where(first % 2 == 1, t1, t0 + f * (t1 - t0)))
 
-def _add_counts(counts: np.ndarray, cond_sup, cond_jump, exceeds, keep) -> None:
-    counts[0] += np.count_nonzero(cond_sup & keep, axis=1)
-    counts[1] += np.count_nonzero(cond_sup & exceeds & keep, axis=1)
-    counts[2] += np.count_nonzero(cond_jump & keep, axis=1)
-    counts[3] += np.count_nonzero(cond_jump & exceeds & keep, axis=1)
+    # s2: the grid time of a left limit, or where |W - A| enters the ball on
+    # the piece that starts at a right value
+    m = np.maximum(last, 0) // 2
+    k = np.minimum(m + 1, M - 1)
+    t0, t1 = times[rows, m], times[rows, k]
+    f = _exit_fraction(left[rows, k] - A[:, None], right[rows, m] - A[:, None], delta)
+    s2 = np.where(last < 0, -np.inf,
+                  np.where(last % 2 == 0, t0, t1 - f * (t1 - t0)))
+
+    # a last point at time 1 leaves no s; one piece holding both points
+    # (right value at m, left limit at m + 1) needs the roots compared
+    t = tau[:, None]
+    return ((first <= last) | (last == 2 * M - 1)
+            | ((first == last + 1) & (last % 2 == 1) & (s2 > s1))
+            | (s2 > t + epsilon) | (s1 < t - epsilon))
 
 
 def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
                        epsilon: float, levels: Sequence[float], n: int, seed: int,
-                       grid_size: int = 256, refinement: int = 4
+                       grid_size: int = 256
                        ) -> tuple[ConditionalDistanceCurve, ConditionalDistanceCurve]:
     """Conditional probabilities that the rescaled process strays from its
     one-jump approximation, under both conditionings.
 
     For each replicate, simulate the driver X (and, unless ``integrand`` is
     None, an independent integrand Y), form W = (Y.X) and its one-jump
-    approximation, and for each level u with the conditioning event satisfied
-    record whether the J1 distance of the u-rescaled pair exceeds epsilon.
-    Returned curves condition on the process sup norm exceeding u ("sup") and
-    on the approximation's jump norm exceeding u ("jump").
+    approximation A 1[t >= tau], and for each level u with the conditioning
+    event satisfied record whether the J1 distance of the u-rescaled pair
+    exceeds epsilon.  Returned curves condition on the process sup norm
+    exceeding u ("sup") and on the approximation's jump norm exceeding u
+    ("jump").  One replicate pool is shared across all levels.
 
-    The J1 indicator exploits monotonicity of the rescaled distance in u and
-    cheap bounds (endpoint and sup-norm mismatches from below, the uniform
-    distance from above), so the dynamic program only runs on the ambiguous
-    band.  One replicate pool is shared across all levels.
+    The J1 distance to a single step is a minimum over the time s that a
+    time change moves the step to, at cost |s - tau|:
 
-    Replicates run in two phases, on one thread:
+        d = inf over s of max(|s - tau|, P(s) / u, Q(s) / u),
+        P(s) = sup_{t<s} |W_t|,  Q(s) = sup_{t>=s} |W_t - A|,
 
-    1. Screening (``_screen``): blocks of ``_SCREEN_BLOCK`` replicates are
-       regenerated from their keyed streams and their sup norm, jump norm,
-       uniform distance and lower bound computed as arrays, with no path
-       objects.
-    2. Exact reconstruction: a replicate survives screening, and is rebuilt
-       from the same streams as ``CadlagPath`` objects with the J1 dynamic
-       program available, when (a) a screened value lies within the relative
-       margin ``_MARGIN`` of a threshold it is compared to (u for the norms,
-       epsilon * u for the distance bounds), (b) the bounds leave its
-       indicator open at some conditioned level, or (c) a jump time falls on
-       the grid or repeats.
+    left limits included.  P never decreases and Q never increases, so
+    {P <= epsilon u} = (0, s1] and {Q <= epsilon u} = [s2, 1], with s1 the
+    first time |W| exceeds epsilon u and s2 the last time |W - A| does, and
+    d <= epsilon exactly when max(s2, tau - epsilon) <= min(s1, tau +
+    epsilon).  The norm is convex on each linear piece of W, so s1 and s2 are
+    grid times or roots of a quadratic (``_exceeds``).
 
-    Both phases feed the same descending-level carry (``_carry``), and the
-    decisions of a replicate that does not survive do not depend on rounding,
-    so the counts equal those of the exact per-replicate computation.
+    Blocks of ``_SCREEN_BLOCK`` replicates are regenerated from their keyed
+    streams as arrays on the merged grid (``_screen``) and decided at every
+    level at once, on one thread.  A replicate with a jump time on the grid or
+    two equal jump times is rebuilt from the same streams as ``CadlagPath``
+    objects, whose grid, values and left limits the same decision takes.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     levels = [float(u) for u in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] <= 0:
         raise ValueError("levels must be positive and strictly increasing")
-    thresholds = np.array(levels)
+    u = np.array(levels)
 
-    def exact(rep: int, counts: np.ndarray) -> None:
+    def counts(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
+        # rows: [sup hits, sup exceed, jump hits, jump exceed] per level
+        _, right, left, A, _ = arrays
+        s = np.maximum(np.linalg.norm(right, axis=2).max(axis=1),
+                       np.linalg.norm(left, axis=2).max(axis=1))
+        cond_sup = s[:, None] > u
+        cond_jump = np.linalg.norm(A, axis=1)[:, None] > u
+        # only replicates conditioned at the lowest level are decided
+        live = cond_sup[:, 0] | cond_jump[:, 0]
+        exceeds = np.zeros_like(cond_sup)
+        exceeds[live] = _exceeds(*(a[live] for a in arrays), epsilon, levels)
+        return np.array([np.count_nonzero(c, axis=0) for c in
+                         (cond_sup, cond_sup & exceeds, cond_jump, cond_jump & exceeds)])
+
+    def rebuilt(rep: int) -> tuple[np.ndarray, ...]:
         cfg = SimConfig(grid_size, seed, rep)
         x = simulate_levy_path(model, cfg)
         if integrand is None:
-            w, wa = x, one_step_approx(x)
-        else:
-            y = simulate_integrand(integrand, cfg, times=x.jump_times)
-            w = stochastic_integral(y, x)
-            wa = one_jump_integral(y, x)
-        s = sup_norm(w)
-        ja = float(np.linalg.norm(wa.jump_sizes[0])) if len(wa.jump_times) else 0.0
-        udist = uniform_distance(w, wa)
-        end_gap = float(np.linalg.norm(w.values[-1] - wa.values[-1]))
-        lower = max(end_gap, abs(s - sup_norm(wa)))
-
-        def j1_exceeds(i: int, open_: np.ndarray) -> np.ndarray:
-            u = levels[i]
-            return np.array([not j1_within(w.scaled(1.0 / u), wa.scaled(1.0 / u),
-                                           epsilon, refinement)])
-
-        flags = _carry(levels, epsilon, [s], [ja], [udist], [lower], j1_exceeds)[:3]
-        _add_counts(counts, *flags, True)
+            return _pair_arrays(x, one_step_approx(x))
+        y = simulate_integrand(integrand, cfg, times=x.jump_times)
+        return _pair_arrays(stochastic_integral(y, x), one_jump_integral(y, x))
 
     def screen_block(i: int, start: int, stop: int) -> np.ndarray:
-        # rows: [sup hits, sup exceed, jump hits, jump exceed] per level
-        counts = np.zeros((4, len(levels)), dtype=np.int64)
-        s, ja, udist, lower, scale, irregular = _screen(model, integrand, seed,
-                                                        range(start, stop), grid_size)
-        cond_sup, cond_jump, exceeds, undecided = _carry(levels, epsilon,
-                                                         s, ja, udist, lower)
-        survive = (irregular | undecided
-                   | _near(s, thresholds, scale) | _near(ja, thresholds, scale)
-                   | _near(udist, epsilon * thresholds, scale)
-                   | _near(lower, epsilon * thresholds, scale))
-        _add_counts(counts, cond_sup, cond_jump, exceeds, ~survive)
-        for rep in np.arange(start, stop)[survive]:
-            exact(int(rep), counts)
-        return counts
+        *arrays, irregular = _screen(model, integrand, seed, range(start, stop), grid_size)
+        total = counts(tuple(a[~irregular] for a in arrays))
+        for rep in np.arange(start, stop)[irregular]:
+            total += counts(rebuilt(int(rep)))
+        return total
 
-    counts = np.sum(chunks(n, _SCREEN_BLOCK, screen_block), axis=0)
+    total = np.sum(chunks(n, _SCREEN_BLOCK, screen_block), axis=0)
 
     def curve(row_hits: int, row_exc: int, label: str) -> ConditionalDistanceCurve:
-        ests = tuple(TailEstimate(levels[i], int(counts[row_hits, i]),
-                                  int(counts[row_exc, i]))
-                     if counts[row_hits, i] > 0 else None
+        ests = tuple(TailEstimate(levels[i], int(total[row_hits, i]),
+                                  int(total[row_exc, i]))
+                     if total[row_hits, i] > 0 else None
                      for i in range(len(levels)))
         return ConditionalDistanceCurve(epsilon, tuple(levels), label, ests)
 

@@ -315,7 +315,7 @@ def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
                       threads: int) -> list[str]:
     sup_curve, jump_curve = one_big_jump_curve(
         spec.model, spec.integrand, spec.epsilon, spec.levels, spec.n, spec.seed,
-        grid_size=spec.grid_size, refinement=spec.refinement)
+        grid_size=spec.grid_size)
     names = []
     for curve in (sup_curve, jump_curve):
         rows = [[u, None if e is None else e.p_hat, None if e is None else e.stderr,

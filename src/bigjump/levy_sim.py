@@ -179,9 +179,13 @@ class ExpOUIntegrand:
             # exp(rate * t) times that of one step of length t, so one step over
             # [0, 1] driven by 64 (beyond any normal draw or sum) bounds it
             probe = _ou_exponent(self.rate, self.vol, np.array([0.0, 1.0]), np.array([64.0]))
+            peak = self.initial * np.exp(probe)
         if not np.all(np.isfinite(probe)):
             raise ValueError(f"rate {self.rate} with vol {self.vol} overflows the OU "
                              f"integrating factor exp(rate * t) on [0, 1]")
+        if not np.all(np.isfinite(peak)):
+            raise ValueError(f"vol {self.vol} with rate {self.rate} and initial "
+                             f"{self.initial} overflows exp(U), 64 deviations out")
 
     def to_dict(self) -> dict:
         return {"variant": "exp_ou", "rate": self.rate, "vol": self.vol,

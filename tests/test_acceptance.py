@@ -125,11 +125,9 @@ def test_criterion_4_one_big_jump_curves():
     levels = [4.0, 8.0, 16.0, 32.0, 64.0, 140.0, 280.0]
     integrand = bj.ExpOUIntegrand(rate=2.0, vol=0.25, initial=1.0)
     sup_i, jump_i = bj.one_big_jump_curve(model, integrand, 0.1, levels,
-                                          250000, seed=404, grid_size=128,
-                                          refinement=4)
+                                          250000, seed=404, grid_size=128)
     sup_r, jump_r = bj.one_big_jump_curve(model, None, 0.1, levels,
-                                          250000, seed=405, grid_size=128,
-                                          refinement=4)
+                                          250000, seed=405, grid_size=128)
     results = [_check_curve(n, c) for n, c in
                (("integral|sup", sup_i), ("integral|jump", jump_i),
                 ("path|sup", sup_r), ("path|jump", jump_r))]

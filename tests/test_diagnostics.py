@@ -218,30 +218,30 @@ def exact_functionals(w, wa):
     return s, ja, uniform_distance(w, wa), max(end_gap, abs(s - sup_norm(wa)))
 
 
-def reference_counts(model, integrand, epsilon, levels, n, seed, grid_size, refinement):
+# refinement of the reference loop's J1 dynamic program
+REFINEMENT = 2
+
+
+def reference_counts(model, integrand, epsilon, levels, n, seed, grid_size):
     """The estimator's counts, one replicate at a time on CadlagPath objects,
-    and the number of J1 dynamic programs run."""
+    with the J1 dynamic program deciding whatever the uniform distance (from
+    above) and the endpoint and sup-norm gaps (from below) leave open."""
     counts = np.zeros((4, len(levels)), dtype=np.int64)
-    dp_calls = 0
     for rep in range(n):
         w, wa = exact_pair(model, integrand, seed, rep, grid_size)
         s, ja, udist, lower = exact_functionals(w, wa)
-        exceeded = False
-        for i in range(len(levels) - 1, -1, -1):
-            u = levels[i]
+        for i, u in enumerate(levels):
             if not (s > u or ja > u):
                 continue
-            if not exceeded:
-                if udist <= epsilon * u:
-                    exceeded = False
-                elif lower > epsilon * u:
-                    exceeded = True
-                else:
-                    dp_calls += 1
-                    exceeded = not j1_within(w.scaled(1 / u), wa.scaled(1 / u), epsilon,
-                                             refinement)
+            if udist <= epsilon * u:
+                exceeded = False
+            elif lower > epsilon * u:
+                exceeded = True
+            else:
+                exceeded = not j1_within(w.scaled(1 / u), wa.scaled(1 / u), epsilon,
+                                         REFINEMENT)
             counts[:, i] += [s > u, s > u and exceeded, ja > u, ja > u and exceeded]
-    return counts.tolist(), dp_calls
+    return counts.tolist()
 
 
 def curve_counts(curves):
@@ -254,57 +254,56 @@ class TestTwoPhaseScreening:
     @pytest.mark.parametrize("model, integrand, grid_size", SCREEN_CASES)
     def test_screened_functionals_match_paths(self, model, integrand, grid_size):
         reps = range(300)
-        s, ja, udist, lower, scale, irregular = diagnostics._screen(
+        times, right, left, A, tau, irregular = diagnostics._screen(
             model, integrand, 21, reps, grid_size)
-        want = np.array([exact_functionals(*exact_pair(model, integrand, 21, r, grid_size))
-                         for r in reps])
-        for got, col in zip((s, ja, udist, lower), want.T):
-            np.testing.assert_allclose(got, col, rtol=1e-12, atol=0.0)
-        assert np.all(scale >= s) and not irregular.any()
-        assert np.count_nonzero(ja) > 100  # most replicates jump
+        s = np.maximum(np.linalg.norm(right, axis=2).max(axis=1),
+                       np.linalg.norm(left, axis=2).max(axis=1))
+        assert not irregular.any()
+        for r in reps:
+            w, wa = exact_pair(model, integrand, 21, r, grid_size)
+            m = len(w.grid)
+            # the padding repeats the value at time 1
+            assert np.all(times[r, m:] == 1.0)
+            np.testing.assert_array_equal(times[r, :m], w.grid)
+            for got, want in ((right[r], w.values), (left[r], w._left)):
+                np.testing.assert_allclose(got[:m], want, rtol=1e-12, atol=1e-12)
+                assert np.all(got[m:] == got[m - 1])
+            want_s, want_ja = exact_functionals(w, wa)[:2]
+            assert s[r] == pytest.approx(want_s, rel=1e-12)
+            assert np.linalg.norm(A[r]) == pytest.approx(want_ja, rel=1e-12)
+            if len(wa.jump_times):
+                assert tau[r] == wa.jump_times[0]
+                np.testing.assert_allclose(A[r], wa.jump_sizes[0], rtol=1e-12)
+        assert np.count_nonzero(np.any(A != 0, axis=1)) > 100  # most replicates jump
 
     CURVE_CASES = [
         pytest.param(OU_MODEL, ExpOUIntegrand(2.0, 0.25, 1.0), 0.1, [1.0, 2.0, 4.0, 8.0],
                      id="exp-ou"),
         pytest.param(MIXED_MODEL, ConstantIntegrand([2.0]), 0.05, [1.0, 2.0, 4.0],
                      id="constant"),
+        pytest.param(MIXED_MODEL, DeterministicIntegrand(1.0, -1.0), 0.1, [1.0, 2.0, 4.0],
+                     id="deterministic"),
         pytest.param(AXES_2D, None, 0.1, [1.0, 2.0, 4.0], id="raw-2d"),
     ]
 
     @pytest.mark.parametrize("model, integrand, epsilon, levels", CURVE_CASES)
-    @pytest.mark.parametrize("mode", ["screened", "all-survive", "partial-block"])
+    @pytest.mark.parametrize("mode", ["screened", "partial-block"])
     def test_curves_match_reference_loop(self, monkeypatch, model, integrand, epsilon,
                                          levels, mode):
-        n, seed, grid_size, refinement = 250, 17, 32, 2
-        rebuilt, dp_calls = [], []
+        n, seed, grid_size = 250, 17, 32
 
-        def counting(m, cfg):
-            rebuilt.append(cfg.replicate_index)
-            return simulate_levy_path(m, cfg)
+        def no_rebuild(*args):
+            raise AssertionError("a regular replicate was rebuilt as a path")
 
-        def counting_j1(*args):
-            dp_calls.append(1)
-            return j1_within(*args)
-
-        monkeypatch.setattr(diagnostics, "simulate_levy_path", counting)
-        monkeypatch.setattr(diagnostics, "j1_within", counting_j1)
-        if mode == "all-survive":
-            monkeypatch.setattr(diagnostics, "_MARGIN", 1e9)
+        # every replicate is regular, so the screened arrays decide them all
+        monkeypatch.setattr(diagnostics, "simulate_levy_path", no_rebuild)
         if mode == "partial-block":
             # blocks that do not divide n, so the last one is partial
             monkeypatch.setattr(diagnostics, "_SCREEN_BLOCK", 40)
         curves = one_big_jump_curve(model, integrand, epsilon, levels, n, seed,
-                                    grid_size=grid_size, refinement=refinement)
-        want, want_dp = reference_counts(model, integrand, epsilon, levels, n, seed,
-                                         grid_size, refinement)
-        assert curve_counts(curves) == want
-        # the dynamic program runs on exactly the replicates and levels it did
-        # without screening
-        assert len(dp_calls) == want_dp > 0
-        if mode == "all-survive":
-            assert sorted(rebuilt) == list(range(n))
-        else:
-            assert len(rebuilt) < n // 5
+                                    grid_size=grid_size)
+        assert curve_counts(curves) == reference_counts(model, integrand, epsilon, levels,
+                                                        n, seed, grid_size)
 
     def test_jump_on_grid_is_rebuilt(self, monkeypatch):
         # snapping each replicate's last jump time up to the grid makes the
@@ -326,11 +325,31 @@ class TestTwoPhaseScreening:
                       for r in range(100)]
         assert irregular.tolist() == with_jumps
         curves = one_big_jump_curve(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
-                                    [1.0, 2.0, 4.0], 100, 4, grid_size=grid_size,
-                                    refinement=2)
-        want, _ = reference_counts(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
-                                   [1.0, 2.0, 4.0], 100, 4, grid_size, 2)
+                                    [1.0, 2.0, 4.0], 100, 4, grid_size=grid_size)
+        want = reference_counts(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
+                                [1.0, 2.0, 4.0], 100, 4, grid_size)
         assert curve_counts(curves) == want
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.5])
+    def test_replicate_without_jumps_exceeds_by_its_sup(self, epsilon):
+        # without a jump the approximation is the zero path (padded at tau =
+        # 2), so W exceeds exactly when its sup norm is above epsilon * u
+        model = LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], diffusion=[[1.0]])
+        levels = [0.25, 0.5, 1.0, 2.0]
+        times, right, left, A, tau, irregular = diagnostics._screen(
+            model, None, 6, range(200), 32)
+        assert not np.any(A) and np.all(tau == 2.0) and not irregular.any()
+        s = np.linalg.norm(right, axis=2).max(axis=1)
+        exceeds = diagnostics._exceeds(times, right, left, A, tau, epsilon, levels)
+        assert np.array_equal(exceeds, s[:, None] > epsilon * np.array(levels))
+        sup_c, jump_c = one_big_jump_curve(model, None, epsilon, levels, 200, 6,
+                                           grid_size=32)
+        assert all(e is None for e in jump_c.estimates)
+        assert [e.n for e in sup_c.estimates] == [np.count_nonzero(s > u) for u in levels]
+        assert [e.hits for e in sup_c.estimates] == \
+            [np.count_nonzero(s > max(u, epsilon * u)) for u in levels]
+        assert curve_counts((sup_c, jump_c)) == reference_counts(model, None, epsilon,
+                                                                 levels, 200, 6, 32)
 
 
 class TestAnalyticPrediction:

@@ -95,6 +95,8 @@ BAD_CONFIGS = [
                                          "scale": 1.0, "rate": 800.0}),
                  id="rate-overflow"),
     pytest.param(tails_config(integrand=dict(EXP_OU, rate=800.0)), id="ou-rate-overflow"),
+    pytest.param(tails_config(integrand=dict(EXP_OU, rate=1.0, vol=1000.0)),
+                 id="ou-vol-overflow"),
 ]
 
 

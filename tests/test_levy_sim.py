@@ -173,6 +173,19 @@ class TestIntegrand:
         assert all(np.all(np.isfinite(v))
                    for v in batch_integral_functionals(model, spec, 1.0, 2000, 3, grid_size=64))
 
+    def test_exp_ou_vol_bound(self):
+        # exp(U) overflowed for a large vol, which left non-finite integrand
+        # values; such integrands are rejected, and vol 11 at rate 0 (64
+        # deviations give U = 704) still passes
+        for rate, vol, initial in ((1.0, 1000.0, 1.0), (1.0, 20.0, 1.0), (0.0, 12.0, 1.0),
+                                   (0.0, 1.3, 1e300)):
+            with pytest.raises(ValueError, match="overflows exp"):
+                ExpOUIntegrand(rate, vol, initial)
+        spec = ExpOUIntegrand(0.0, 11.0)
+        for r in range(20):
+            p = simulate_integrand(spec, SimConfig(64, 3, r), times=[0.3, 0.999])
+            assert np.all(np.isfinite(p.values)) and np.all(p.values > 0)
+
 
 class TestStochasticIntegral:
     def test_unit_integrand_identity(self):
