@@ -3,8 +3,8 @@ cadlag path metrics and one-big-jump Monte Carlo diagnostics."""
 
 __version__ = "0.1.0"
 
-from .cadlag import (CadlagPath, cw_product, j1_distance, j1_within,
-                     largest_jump_time, one_step_approx, sup_norm, uniform_distance)
+from .cadlag import (CadlagPath, j1_distance, j1_within, one_step_approx, sup_norm,
+                     uniform_distance)
 from .diagnostics import (ConditionalDistanceCurve, HillEstimate, RatioEstimate,
                           TailEstimate, TrendPoint, analytic_prediction,
                           breiman_ratio, double_jump_trend, hill,

@@ -7,8 +7,8 @@ into its top 61 bits and the tag into its low 3, so indices lie in
 than wrapped onto another stream.  Philox is counter-based, so streams for
 distinct keys are independent and a replicate can be regenerated in
 isolation, bit for bit.  ``diagnostics.one_big_jump_curve`` relies on this:
-it screens and decides replicates as arrays from their regenerated draws, and
-rebuilds exact paths, from the same keys, only for the rare irregular one.
+it regenerates every replicate's draws from its keys, in blocks of replicates,
+and decides each replicate from those arrays.
 
 ``rekey`` moves an existing generator to the start of another key's stream
 in place, which gives the same draws as a new ``substream`` at a fraction of

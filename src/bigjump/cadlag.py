@@ -2,8 +2,7 @@
 
 A path is stored as grid samples (right limits) plus an explicit jump list;
 between grid points the path varies linearly toward the left limit of the next
-grid point, so the representation is closed under sums and componentwise
-products and every functional below is exact on it.
+grid point, and every functional below is exact on it.
 
 The J1 distance is the classical incomplete Skorokhod metric
 
@@ -176,46 +175,14 @@ def sup_norm(x: CadlagPath) -> float:
     return float(max(norms.max(), left.max()))
 
 
-def largest_jump_time(x: CadlagPath) -> float:
-    """Time of the first jump of maximal norm; 1.0 for a path without jumps."""
-    if len(x.jump_times) == 0:
-        return 1.0
-    norms = np.linalg.norm(x.jump_sizes, axis=1)
-    return float(x.jump_times[int(np.argmax(norms))])
-
-
 def one_step_approx(x: CadlagPath) -> CadlagPath:
-    """The single-step path carrying the largest jump; zero path if x has none."""
+    """The single-step path carrying the first jump of maximal norm; zero
+    path if x has none."""
     if len(x.jump_times) == 0:
         return CadlagPath.zero(x.dimension)
     norms = np.linalg.norm(x.jump_sizes, axis=1)
     k = int(np.argmax(norms))
     return CadlagPath.step(float(x.jump_times[k]), x.jump_sizes[k])
-
-
-def cw_product(y: CadlagPath, x: CadlagPath) -> CadlagPath:
-    """Componentwise product path on the merged grid.
-
-    The product jumps wherever either factor jumps; its discontinuity is the
-    exact difference of right values and left limits there, which matches
-    y_- * dx + dy * x_- + dy * dx.  Between grid points the product is
-    re-linearized on the merged grid.
-    """
-    if y.dimension != x.dimension:
-        raise ValueError(f"dimension mismatch: {y.dimension} vs {x.dimension}")
-    grid = np.union1d(y.grid, x.grid)
-    yl, yr = y._sides_at(grid)
-    xl, xr = x._sides_at(grid)
-    right = yr * xr
-    left = yl * xl
-    jt = np.union1d(y.jump_times, x.jump_times)
-    jumps = []
-    for t in jt:
-        i = int(np.searchsorted(grid, t))
-        delta = right[i] - left[i]
-        if np.any(delta != 0.0):
-            jumps.append((float(t), delta))
-    return CadlagPath.from_samples(grid, right, jumps)
 
 
 def uniform_distance(x: CadlagPath, y: CadlagPath) -> float:

@@ -22,11 +22,10 @@ import numpy as np
 
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                    rekey, substream)
-from .cadlag import CadlagPath, one_step_approx
+from .cadlag import CadlagPath
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
                        _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
-                       batch_integral_functionals, one_jump_integral,
-                       simulate_integrand, simulate_levy_path, stochastic_integral)
+                       batch_integral_functionals, simulate_integrand)
 from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 
 BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -234,9 +233,12 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     so it changes no supremum.  Returns ``_exceeds``'s arrays: the merged
     grid (B, M), W's right values and left limits there (B, M, d), the
     approximation's jump A (B, d) and its time tau (B,) (A = 0 and tau = 2
-    without jumps); and ``irregular``: a jump time on the grid or two equal
-    jump times, where the exact path merges grid points and the draw count
-    differs.
+    without jumps).
+
+    Every jump takes its own slot after the grid points at or before it, so
+    a jump at a grid time follows that grid point and equal jump times take
+    consecutive slots, each a zero-length piece of W.  An exp-OU integrand
+    still spends one normal on such a piece, with deviation 0.
     """
     d, gs = model.dimension, grid_size
     g = np.linspace(0.0, 1.0, gs + 1)
@@ -261,10 +263,9 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     Z[real] = np.concatenate(jss)
 
     # merged grid: ``take`` indexes [uniform grid | jump times] per position;
-    # the padded tail points at time 1
-    ju = np.searchsorted(g, jt)
-    irregular = np.any(real & (g[np.minimum(ju, gs)] == jt), axis=1) | \
-        np.any(real[:, 1:] & (np.diff(jt, axis=1) <= 0), axis=1)
+    # the padded tail points at time 1.  ``ju`` counts the grid points at or
+    # before each jump, which the stable sort places first
+    ju = np.searchsorted(g, jt, side="right")
     times = np.hstack([np.broadcast_to(g, (B, gs + 1)), jt])
     take = np.argsort(times, axis=1, kind="stable")
     take = np.where(take > gs + k[:, None], gs, take)
@@ -273,11 +274,13 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     count = np.cumsum(take > gs, axis=1)  # jumps at or before each merged time
 
     # light part on the merged grid, interpolated at the jump times exactly
-    # as ``CadlagPath._sides_at`` does
+    # as ``CadlagPath._sides_at`` does: a jump at the k-th grid time takes
+    # S[k] (frac is 0 there, and at time 1 the interpolation stops)
     S = _gaussian_walk(model, np.stack(zgs))
     lo = np.minimum(ju, gs) - 1
     frac = (jt - g[lo]) / (g[lo + 1] - g[lo])
-    at_jumps = S[rows, lo] + frac[..., None] * (S[rows, lo + 1] - S[rows, lo])
+    at_jumps = np.where((jt >= 1.0)[..., None], S[:, -1:],
+                        S[rows, lo] + frac[..., None] * (S[rows, lo + 1] - S[rows, lo]))
     base = np.take_along_axis(np.concatenate([S, at_jumps], axis=1), take[..., None], axis=1)
     cum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(Z, axis=1)], axis=1)
     x = base + np.take_along_axis(cum, count[..., None], axis=1)
@@ -294,7 +297,9 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
             raise ValueError(f"dimension mismatch: {y.shape[-1]} vs {d}")
         # each step below repeats the exact path's floating-point operations
         # (``stochastic_integral`` subtracts the jumps back out of X), so the
-        # screened values match it to the last bit in one dimension
+        # screened values match it to the last bit in one dimension; a jump
+        # on a grid time adds a zero-length piece whose increment of X is 0
+        # only up to that subtraction's rounding
         xc = x - np.take_along_axis(cum, count[..., None], axis=1)
         W = np.take_along_axis(y, pos[..., None], axis=1) * Z
         inc = y[:, :-1] * np.diff(xc, axis=1)
@@ -309,16 +314,7 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     # the approximation is the step A * 1[t >= tau] at the first largest jump
     # of X; A = 0 without jumps (the padded column then wins)
     kstar = np.argmax(np.linalg.norm(Z, axis=2), axis=1)
-    return G, w, left, W[rows[:, 0], kstar], jt[rows[:, 0], kstar], irregular
-
-
-def _pair_arrays(w: CadlagPath, wa: CadlagPath) -> tuple[np.ndarray, ...]:
-    """``_screen``'s arrays for W and its step (or zero) approximation ``wa``."""
-    if len(wa.jump_times):
-        A, tau = wa.jump_sizes[:1], wa.jump_times[:1]
-    else:
-        A, tau = np.zeros((1, w.dimension)), np.full(1, 2.0)
-    return w.grid[None], w.values[None], w._left[None], A, tau
+    return G, w, left, W[rows[:, 0], kstar], jt[rows[:, 0], kstar]
 
 
 def _exit_fraction(a: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -416,9 +412,9 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 
     Blocks of ``_SCREEN_BLOCK`` replicates are regenerated from their keyed
     streams as arrays on the merged grid (``_screen``) and decided at every
-    level at once, on one thread.  A replicate with a jump time on the grid or
-    two equal jump times is rebuilt from the same streams as ``CadlagPath``
-    objects, whose grid, values and left limits the same decision takes.
+    level at once, on one thread.  A jump at a grid time, or at the time of
+    another jump, takes a merged-grid slot of its own, so every replicate is
+    decided from the same arrays.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -441,20 +437,8 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
         return np.array([np.count_nonzero(c, axis=0) for c in
                          (cond_sup, cond_sup & exceeds, cond_jump, cond_jump & exceeds)])
 
-    def rebuilt(rep: int) -> tuple[np.ndarray, ...]:
-        cfg = SimConfig(grid_size, seed, rep)
-        x = simulate_levy_path(model, cfg)
-        if integrand is None:
-            return _pair_arrays(x, one_step_approx(x))
-        y = simulate_integrand(integrand, cfg, times=x.jump_times)
-        return _pair_arrays(stochastic_integral(y, x), one_jump_integral(y, x))
-
     def screen_block(i: int, start: int, stop: int) -> np.ndarray:
-        *arrays, irregular = _screen(model, integrand, seed, range(start, stop), grid_size)
-        total = counts(tuple(a[~irregular] for a in arrays))
-        for rep in np.arange(start, stop)[irregular]:
-            total += counts(rebuilt(int(rep)))
-        return total
+        return counts(_screen(model, integrand, seed, range(start, stop), grid_size))
 
     total = np.sum(chunks(n, _SCREEN_BLOCK, screen_block), axis=0)
 

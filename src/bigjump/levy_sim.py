@@ -14,7 +14,10 @@ jump time always uses its left limit.
 
 All randomness is drawn from counter-based streams keyed by
 (seed, replicate_index, stream tag); identical keys reproduce bit-identical
-paths and distinct replicate indices give independent replicates.
+paths and distinct replicate indices give independent replicates.  The batch
+sampler keys batch k by (seed, k, tag), the keys of replicate k of the
+per-replicate samplers, so at one seed its draws are not independent of
+theirs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, substream
-from .cadlag import CadlagPath, largest_jump_time
+from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure
 
 
@@ -374,14 +377,15 @@ def stochastic_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 
 
 def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
-    """The single-step path y_tau * dx_tau * 1_[tau, 1]; zero if x has no jumps."""
+    """The single-step path y_tau * dx_tau * 1_[tau, 1] at the largest jump
+    of x, the step of ``one_step_approx(x)``; zero if x has no jumps."""
     if y.dimension != x.dimension:
         raise ValueError(f"dimension mismatch: {y.dimension} vs {x.dimension}")
-    if len(x.jump_times) == 0:
-        return CadlagPath.zero(x.dimension)
-    tau = largest_jump_time(x)
-    k = int(np.searchsorted(x.jump_times, tau))
-    return CadlagPath.step(tau, y.left_limit_at(tau) * x.jump_sizes[k])
+    step = one_step_approx(x)
+    if len(step.jump_times) == 0:
+        return step
+    tau = float(step.jump_times[0])
+    return CadlagPath.step(tau, y.left_limit_at(tau) * step.jump_sizes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +419,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
     it = round(t * grid_size)
-    if not 0 < t <= 1 or abs(it / grid_size - t) > 1e-12:
+    if not 0 < t <= 1 or it < 1 or abs(it / grid_size - t) > 1e-12:
         raise ValueError("t must be a grid time k/grid_size in (0, 1]")
     has_cont = model.diffusion.any() or model.drift.any()
     grid = np.linspace(0.0, 1.0, grid_size + 1)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bigjump import cadlag
-from bigjump.cadlag import (CadlagPath, cw_product, j1_distance, j1_within,
-                            largest_jump_time, one_step_approx, sup_norm,
-                            uniform_distance)
+from bigjump.cadlag import (CadlagPath, j1_distance, j1_within, one_step_approx,
+                            sup_norm, uniform_distance)
 from bigjump.levy_sim import (LevyModel, SimConfig, assemble_levy_path, simulate_big_jumps,
                               simulate_small_part)
 
@@ -66,16 +65,16 @@ class TestFunctionals:
     def test_largest_jump_time(self):
         p = CadlagPath.from_samples([0, 0.2, 0.7, 1.0], [[0], [3], [8], [8]],
                                     [(0.2, [3.0]), (0.7, [5.0])])
-        assert largest_jump_time(p) == 0.7
+        assert one_step_approx(p).jump_times.tolist() == [0.7]
 
     def test_largest_jump_tie_takes_first(self):
         p = CadlagPath.from_samples([0, 0.2, 0.7, 1.0], [[0], [5], [10], [10]],
                                     [(0.2, [5.0]), (0.7, [5.0])])
-        assert largest_jump_time(p) == 0.2
+        assert one_step_approx(p).jump_times.tolist() == [0.2]
 
     def test_largest_jump_no_jumps(self):
         grid = np.linspace(0, 1, 9)
-        assert largest_jump_time(CadlagPath(grid, grid[:, None])) == 1.0
+        assert len(one_step_approx(CadlagPath(grid, grid[:, None])).jump_times) == 0
 
     def test_one_step_approx_idempotent_on_steps(self):
         x = CadlagPath.step(0.37, [2.0, -1.0])
@@ -93,57 +92,13 @@ class TestFunctionals:
         vals = np.array([[0.1], [3.3], [8.6], [8.9]])
         x = CadlagPath(grid, vals, np.array([0.2, 0.7]), np.array([[3.0], [5.0]]))
         a = one_step_approx(x)
-        assert largest_jump_time(a) == 0.7
+        assert a.jump_times.tolist() == [0.7]
         assert a.value_at(0.9) == pytest.approx(5.0)
         assert a.value_at(0.5) == 0.0
         # repeated application changes nothing, and the jump time survives
         b = one_step_approx(a)
         assert np.array_equal(b.values, a.values)
-        assert largest_jump_time(a) == largest_jump_time(x)
-
-
-class TestProduct:
-    def test_identity(self):
-        rng = np.random.default_rng(2)
-        x = random_step_path(rng, d=2)
-        one = CadlagPath(np.array([0.0, 1.0]), np.ones((2, 2)))
-        p = cw_product(one, x)
-        assert np.allclose(p._sides_at(x.grid)[1], x.values)
-        assert np.array_equal(p.jump_sizes, x.jump_sizes)
-
-    def test_zero(self):
-        x = CadlagPath.step(0.5, [1.0])
-        zero = CadlagPath.zero(1)
-        p = cw_product(zero, x)
-        assert sup_norm(p) == 0.0 and len(p.jump_times) == 0
-
-    def test_constant_scaling(self):
-        y = CadlagPath(np.array([0.0, 1.0]), np.array([[2.0, 3.0], [2.0, 3.0]]))
-        x = CadlagPath.step(0.5, [1.0, 1.0])
-        p = cw_product(y, x)
-        assert np.array_equal(p.value_at(0.8), [2.0, 3.0])
-        assert np.array_equal(p.jump_sizes[0], [2.0, 3.0])
-
-    def test_linear_in_constant_factor(self):
-        rng = np.random.default_rng(9)
-        x = random_step_path(rng, d=1)
-        y1 = CadlagPath(np.array([0.0, 1.0]), np.full((2, 1), 2.0))
-        y2 = CadlagPath(np.array([0.0, 1.0]), np.full((2, 1), 5.0))
-        p1 = cw_product(y1, x)
-        p2 = cw_product(y2, x)
-        assert np.array_equal(p1.values * 2.5, p2.values)
-
-    def test_jump_rule_when_both_jump(self):
-        # product jump equals y_- dx + dy x_- + dy dx with right-value consistency
-        y = CadlagPath.from_samples([0, 0.5, 1.0], [[2], [3], [3]], [(0.5, [1.0])])
-        x = CadlagPath.from_samples([0, 0.5, 1.0], [[1], [5], [5]], [(0.5, [4.0])])
-        p = cw_product(y, x)
-        dy, dx, ym, xm = 1.0, 4.0, 2.0, 1.0
-        assert p.jump_sizes[0, 0] == pytest.approx(ym * dx + dy * xm + dy * dx)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            cw_product(CadlagPath.zero(2), CadlagPath.zero(1))
+        assert np.array_equal(b.jump_times, a.jump_times)
 
 
 class TestJ1:

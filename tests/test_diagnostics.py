@@ -13,8 +13,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, one_jump_integral,
                               simulate_big_jumps, simulate_integrand,
-                              simulate_levy_path, simulate_small_part,
-                              stochastic_integral)
+                              simulate_small_part, stochastic_integral)
 from bigjump.regvar import RegVarMeasure, weighted_one_step_mass
 
 
@@ -254,11 +253,10 @@ class TestTwoPhaseScreening:
     @pytest.mark.parametrize("model, integrand, grid_size", SCREEN_CASES)
     def test_screened_functionals_match_paths(self, model, integrand, grid_size):
         reps = range(300)
-        times, right, left, A, tau, irregular = diagnostics._screen(
-            model, integrand, 21, reps, grid_size)
+        times, right, left, A, tau = diagnostics._screen(model, integrand, 21, reps,
+                                                         grid_size)
         s = np.maximum(np.linalg.norm(right, axis=2).max(axis=1),
                        np.linalg.norm(left, axis=2).max(axis=1))
-        assert not irregular.any()
         for r in reps:
             w, wa = exact_pair(model, integrand, 21, r, grid_size)
             m = len(w.grid)
@@ -291,12 +289,6 @@ class TestTwoPhaseScreening:
     def test_curves_match_reference_loop(self, monkeypatch, model, integrand, epsilon,
                                          levels, mode):
         n, seed, grid_size = 250, 17, 32
-
-        def no_rebuild(*args):
-            raise AssertionError("a regular replicate was rebuilt as a path")
-
-        # every replicate is regular, so the screened arrays decide them all
-        monkeypatch.setattr(diagnostics, "simulate_levy_path", no_rebuild)
         if mode == "partial-block":
             # blocks that do not divide n, so the last one is partial
             monkeypatch.setattr(diagnostics, "_SCREEN_BLOCK", 40)
@@ -305,30 +297,66 @@ class TestTwoPhaseScreening:
         assert curve_counts(curves) == reference_counts(model, integrand, epsilon, levels,
                                                         n, seed, grid_size)
 
-    def test_jump_on_grid_is_rebuilt(self, monkeypatch):
-        # snapping each replicate's last jump time up to the grid makes the
-        # exact path merge a grid point, so screening must hand it over
-        grid_size = 32
+    @pytest.mark.parametrize("model, integrand, epsilon, levels",
+                             [c for c in CURVE_CASES if c.id != "exp-ou"])
+    def test_jumps_on_grid_match_reference_loop(self, monkeypatch, model, integrand,
+                                                epsilon, levels):
+        # snapping each replicate's last jump time up to the grid: the exact
+        # path merges that grid point, while the screening gives the jump a
+        # zero-length piece of its own after it.  exp-OU is left out, since
+        # the screening spends a normal on that piece and the exact path not
+        n, seed, grid_size = 100, 4, 32
+        grid = np.linspace(0.0, 1.0, grid_size + 1)
         draw = levy_sim._draw_jumps
 
         def snapped(model, rng):
             times, sizes = draw(model, rng)
             if len(times):
-                times[-1] = math.ceil(times[-1] * grid_size) / grid_size
+                times[-1] = grid[math.ceil(times[-1] * grid_size)]
             return times, sizes
 
         monkeypatch.setattr(levy_sim, "_draw_jumps", snapped)
         monkeypatch.setattr(diagnostics, "_draw_jumps", snapped)
-        irregular = diagnostics._screen(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 4,
-                                        range(100), grid_size)[-1]
-        with_jumps = [len(simulate_big_jumps(MIXED_MODEL, SimConfig(grid_size, 4, r))[0]) > 0
-                      for r in range(100)]
-        assert irregular.tolist() == with_jumps
-        curves = one_big_jump_curve(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
-                                    [1.0, 2.0, 4.0], 100, 4, grid_size=grid_size)
-        want = reference_counts(MIXED_MODEL, ExpOUIntegrand(1.0, 0.3, 1.0), 0.1,
-                                [1.0, 2.0, 4.0], 100, 4, grid_size)
+        times = diagnostics._screen(model, integrand, seed, range(n), grid_size)[0]
+        pieces = np.any((np.diff(times, axis=1) == 0) & (times[:, 1:] < 1.0), axis=1)
+        assert np.count_nonzero(pieces) > n // 2
+        want = reference_counts(model, integrand, epsilon, levels, n, seed, grid_size)
+        assert want[0][0] > 0
+        curves = one_big_jump_curve(model, integrand, epsilon, levels, n, seed,
+                                    grid_size=grid_size)
         assert curve_counts(curves) == want
+
+    def test_equal_jump_times_count_as_one_jump_under_sup(self, monkeypatch):
+        # the first two jumps of a replicate at one time: W takes a zero-length
+        # piece through the value after the first.  With one-signed jumps and
+        # a positive integrand in one dimension that value lies between the
+        # values before and after the pair, and the norm is convex along the
+        # segment between them, so the sup conditioning is that of the path
+        # with the pair merged into one jump
+        model = LevyModel(1, 3.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]], drift=[-0.3])
+        draw = levy_sim._draw_jumps
+
+        def paired(merge):
+            def draws(model, rng):
+                times, sizes = draw(model, rng)
+                if len(times) < 2:
+                    return times, sizes
+                times[1] = times[0]
+                if merge:
+                    sizes[1] += sizes[0]
+                    return times[1:], sizes[1:]
+                return times, sizes
+            return draws
+
+        conditioned = []
+        for merge in (False, True):
+            monkeypatch.setattr(levy_sim, "_draw_jumps", paired(merge))
+            monkeypatch.setattr(diagnostics, "_draw_jumps", paired(merge))
+            sup_c, _ = one_big_jump_curve(model, ConstantIntegrand([2.0]), 0.1,
+                                          [1.0, 2.0, 4.0, 8.0], 200, 5, grid_size=32)
+            conditioned.append([e.n for e in sup_c.estimates])
+        assert conditioned[0] == conditioned[1]
+        assert conditioned[0][0] > 100
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.5])
     def test_replicate_without_jumps_exceeds_by_its_sup(self, epsilon):
@@ -336,9 +364,8 @@ class TestTwoPhaseScreening:
         # 2), so W exceeds exactly when its sup norm is above epsilon * u
         model = LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], diffusion=[[1.0]])
         levels = [0.25, 0.5, 1.0, 2.0]
-        times, right, left, A, tau, irregular = diagnostics._screen(
-            model, None, 6, range(200), 32)
-        assert not np.any(A) and np.all(tau == 2.0) and not irregular.any()
+        times, right, left, A, tau = diagnostics._screen(model, None, 6, range(200), 32)
+        assert not np.any(A) and np.all(tau == 2.0)
         s = np.linalg.norm(right, axis=2).max(axis=1)
         exceeds = diagnostics._exceeds(times, right, left, A, tau, epsilon, levels)
         assert np.array_equal(exceeds, s[:, None] > epsilon * np.array(levels))

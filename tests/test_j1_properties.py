@@ -15,6 +15,12 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 REFINEMENT = 2
 
 
+def pair_arrays(w, step):
+    """``diagnostics._screen``'s arrays for the path W and a one-jump step,
+    as a block of one replicate."""
+    return w.grid[None], w.values[None], w._left[None], step.jump_sizes, step.jump_times
+
+
 @st.composite
 def step_paths(draw, dimension=1):
     """Step paths with one to three jumps on the 1/100 lattice."""
@@ -85,7 +91,7 @@ def test_one_step_closed_form_matches_distance(dimension, data):
     else:
         eps = data.draw(st.floats(1e-3, 3.0))
     assume(abs(eps - d) > 1e-9)
-    exceeds = diagnostics._exceeds(*diagnostics._pair_arrays(w, step), eps, [1.0])
+    exceeds = diagnostics._exceeds(*pair_arrays(w, step), eps, [1.0])
     assert exceeds[0, 0] == (d > eps)
 
 
@@ -149,7 +155,7 @@ def test_closed_form_matches_scan_on_linear_paths(dimension, data):
                      for _ in range(dimension)])
     w = data.draw(linear_paths(dimension, size))
     d, slack = _scanned_distance(w, tau, size, 1e-4)
-    arrays = diagnostics._pair_arrays(w, CadlagPath.step(tau, size))
+    arrays = pair_arrays(w, CadlagPath.step(tau, size))
     assert not diagnostics._exceeds(*arrays, d + 1e-9, [1.0])[0, 0]
     if d - slack > 1e-9:
         assert diagnostics._exceeds(*arrays, d - slack - 1e-9, [1.0])[0, 0]

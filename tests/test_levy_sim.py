@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bigjump import levy_sim
 from bigjump._rng import (GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                           substream)
-from bigjump.cadlag import CadlagPath, cw_product, one_step_approx, sup_norm, largest_jump_time
+from bigjump.cadlag import CadlagPath, one_step_approx, sup_norm
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, batch_integral_functionals,
@@ -113,7 +113,7 @@ class TestAssemble:
             assert np.array_equal(path.jump_sizes, sizes)
             if len(times):
                 biggest = np.argmax(np.linalg.norm(sizes, axis=1))
-                assert largest_jump_time(path) == times[biggest]
+                assert one_step_approx(path).jump_times.tolist() == [times[biggest]]
 
 
 class TestIntegrand:
@@ -265,9 +265,9 @@ class TestStochasticIntegral:
         y = simulate_integrand(ConstantIntegrand([2.5]), SimConfig(128, 19, 0),
                                times=x.jump_times)
         w = stochastic_integral(y, x)
-        p = cw_product(y, x)
+        p = x.scaled(2.5)
         assert np.array_equal(w.jump_sizes, p.jump_sizes)
-        assert np.abs(w._sides_at(x.grid)[1] - p._sides_at(x.grid)[1]).max() <= 1e-10
+        assert np.abs(w._sides_at(x.grid)[1] - p.values).max() <= 1e-10
 
     def test_predictability_left_limit_evaluation(self):
         # changing y from the jump time on (keeping its left limit) must not
@@ -301,7 +301,7 @@ class TestOneJumpIntegral:
         x = assemble_levy_path(CadlagPath.zero(2), [0.2, 0.7], [[3.0, 3.0], [5.0, 5.0]])
         y = simulate_integrand(ConstantIntegrand([2.0, 3.0]), SimConfig(8, 1))
         w = one_jump_integral(y, x)
-        assert largest_jump_time(w) == 0.7
+        assert w.jump_times.tolist() == [0.7]
         assert np.array_equal(w.jump_sizes[0], [10.0, 15.0])
 
     def test_no_jumps_gives_zero(self):
@@ -382,6 +382,10 @@ class TestBatchFunctionals:
         with pytest.raises(ValueError, match="grid time"):
             batch_integral_functionals(m, ConstantIntegrand([1.0]), 0.123, 10, 1,
                                        grid_size=64)
+        # 1e-13 is within 1e-12 of grid time 0, which is not in (0, 1]
+        with pytest.raises(ValueError, match="grid time"):
+            batch_integral_functionals(m, ConstantIntegrand([1.0]), 1e-13, 10, 1,
+                                       grid_size=512)
 
 
 def dense_batch_reference(model, integrand, t, n, seed, grid_size):
