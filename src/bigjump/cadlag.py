@@ -16,21 +16,21 @@ pairs of step functions and an upper bound, never exceeding the uniform
 distance, in general.
 
 The program fills the anchor pairs row by row.  All affine stretches into a
-row are costed in one batched numpy pass: each feasible source gathers only
+row are costed in one batched numpy pass: each reachable source gathers only
 the grid points inside its stretch, warped with the same floating-point
 expressions a single stretch uses, so every cost is exact.  Sweep costs come
-from tables built once per call.  ``j1_distance`` is exact for the chain
-family; ``j1_within`` prunes at its threshold, treating any partial cost above
-it as infinite, and its verdict equals ``j1_distance(x, y) <= eps``.  They
-serve general pairs and criterion 8; the one-big-jump estimator compares with
-a single step, which ``diagnostics._exceeds`` decides in closed form.
+from tables built once per call.  The program is not pruned: ``j1_distance``
+is its exact minimum over the chain family, and ``j1_within`` compares that
+minimum with a threshold.  They serve general pairs and criterion 8; the
+one-big-jump estimator compares with a single step, which
+``diagnostics._exceeds`` decides in closed form.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,8 +321,7 @@ def _stretch_costs(x: CadlagPath, y: CadlagPath, anchors: np.ndarray,
     return out
 
 
-def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
-           cutoff: Optional[float]) -> float:
+def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int) -> float:
     """Minimal max(time distortion, warped sup distance) over the chain family.
 
     Chains of matched time pairs over the anchor set (endpoints, both jump
@@ -334,16 +333,11 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
     Rows i are filled in order.  Every affine stretch into row i leaves the
     right side of a pair in an earlier row, so all of them are costed in one
     batched pass per row (``_stretch_costs``), over the feasible sources of
-    each target (i, j): the (i0 < i, j0 < j) with ``fR[i0][j0]`` within the
-    cutoff and below what the target already holds.  A scalar pass along the
-    row then adds the diagonal crossings and the sweeps, whose costs come from
-    four tables (``_sweep_table``) built once per call.
-
-    Without ``cutoff`` the value is exact for the chain family.  With it, an
-    entry above the cutoff counts as infinite and may hold any value above
-    it: no crossing, sweep or stretch leaves such an entry and no ``fR`` entry
-    holds one, so the result is exact when it is at most the cutoff and above
-    the cutoff (possibly inf) otherwise.
+    each target (i, j): the reachable (i0 < i, j0 < j) with ``fR[i0][j0]``
+    below what the target already holds.  A scalar pass along the row then
+    adds the diagonal crossings and the sweeps, whose costs come from four
+    tables (``_sweep_table``) built once per call.  Unreachable entries stay
+    inf and are skipped.  The value is exact for the chain family.
     """
     anchors = np.unique(np.concatenate([
         np.array([0.0, 1.0]), x.jump_times, y.jump_times, _dyadic_points(refinement)]))
@@ -354,9 +348,6 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
     nodeL = np.maximum(tdist, _norm(XL[:, None, :] - YL[None, :, :]))
     nodeR = np.maximum(tdist, _norm(XR[:, None, :] - YR[None, :, :]))
     inf = float("inf")
-    lim = inf if cutoff is None else cutoff
-    if nodeR[0, 0] > lim:
-        return float(nodeR[0, 0])
 
     # the grid points strictly between anchors k < l are [lo[k], hi[l])
     bounds = (np.searchsorted(x.grid, anchors, side="right"),
@@ -380,9 +371,9 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
         if i > 0:
             # affine stretches leave right sides and land on the left side of (i, j)
             held = np.array(rowL)
-            tj = np.flatnonzero((nodeL[i] <= lim) & (nodeL[i] < held))
+            tj = np.flatnonzero(nodeL[i] < held)
             tj = tj[tj > 0]
-            i0, j0 = np.nonzero(done[:i] <= lim)
+            i0, j0 = np.nonzero(done[:i] < inf)
             prev = done[i0, j0]
             t, s = np.nonzero((j0 < tj[:, None]) & (prev < held[tj][:, None]))
             if len(t):
@@ -396,24 +387,23 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
                         rowL[j] = c
         for j in range(K):
             # diagonal crossing of the anchor pair: left side to right side
-            if rowL[j] <= lim and nR[i][j] <= lim:
-                c = max(rowL[j], nR[i][j])
-                if c < rowR[j]:
-                    rowR[j] = c
+            c = max(rowL[j], nR[i][j])
+            if c < rowR[j]:
+                rowR[j] = c
             # axis-parallel sweeps to the next anchor, staying on one side;
             # arriving at an anchor pair charges that pair's sided cost, so
             # longer sweeps compose exactly from adjacent ones
             for f, node, (along_y, along_x) in zip((fL, fR), nodes, sweeps):
                 cur = f[i][j]
-                if cur > lim:
+                if cur == inf:
                     continue
                 if j + 1 < K:
                     c = max(cur, along_y[i][j], node[i][j + 1])
-                    if c <= lim and c < f[i][j + 1]:
+                    if c < f[i][j + 1]:
                         f[i][j + 1] = c
                 if i + 1 < K:
                     c = max(cur, along_x[j][i], node[i + 1][j])
-                    if c <= lim and c < f[i + 1][j]:
+                    if c < f[i + 1][j]:
                         f[i + 1][j] = c
         done[i] = rowR
     return fR[K - 1][K - 1]
@@ -422,21 +412,13 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int,
 def j1_distance(x: CadlagPath, y: CadlagPath, refinement: int = 8) -> float:
     """Approximate J1 distance: exact on step-function pairs, else an upper
     bound never exceeding the uniform distance.  The value is the exact
-    minimum over the chain family, with no pruning."""
+    minimum over the chain family."""
     if x.dimension != y.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
-    return _j1_dp(x, y, refinement, cutoff=None)
+    return _j1_dp(x, y, refinement)
 
 
 def j1_within(x: CadlagPath, y: CadlagPath, eps: float, refinement: int = 8) -> bool:
-    """Whether the (approximate) J1 distance is at most ``eps``.
-
-    Equivalent to ``j1_distance(x, y, refinement) <= eps``, verdict for
-    verdict, but prunes the search at the threshold, which is much faster on
-    long paths: a source whose chain already costs more than ``eps`` is never
-    extended, and entries above ``eps`` count as infinite, whatever value
-    they hold.
-    """
-    if x.dimension != y.dimension:
-        raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
-    return _j1_dp(x, y, refinement, cutoff=eps) <= eps
+    """Whether the (approximate) J1 distance is at most ``eps``: the whole,
+    unpruned program, ``j1_distance(x, y, refinement) <= eps``."""
+    return j1_distance(x, y, refinement) <= eps

@@ -282,11 +282,11 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     at_jumps = np.where((jt >= 1.0)[..., None], S[:, -1:],
                         S[rows, lo] + frac[..., None] * (S[rows, lo + 1] - S[rows, lo]))
     base = np.take_along_axis(np.concatenate([S, at_jumps], axis=1), take[..., None], axis=1)
-    cum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(Z, axis=1)], axis=1)
-    x = base + np.take_along_axis(cum, count[..., None], axis=1)
 
+    # W is its continuous part plus the running sum of its jumps, which
+    # without an integrand are X's own
     if integrand is None:
-        w, W = x, Z
+        cont, W = base, Z
     else:
         zy = None
         if zys:
@@ -295,17 +295,11 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
         y = _integrand_values(integrand, G, zy)
         if y.shape[-1] != d:
             raise ValueError(f"dimension mismatch: {y.shape[-1]} vs {d}")
-        # each step below repeats the exact path's floating-point operations
-        # (``stochastic_integral`` subtracts the jumps back out of X), so the
-        # screened values match it to the last bit in one dimension; a jump
-        # on a grid time adds a zero-length piece whose increment of X is 0
-        # only up to that subtraction's rounding
-        xc = x - np.take_along_axis(cum, count[..., None], axis=1)
         W = np.take_along_axis(y, pos[..., None], axis=1) * Z
-        inc = y[:, :-1] * np.diff(xc, axis=1)
-        riemann = np.concatenate([np.zeros((B, 1, d)), np.cumsum(inc, axis=1)], axis=1)
-        wcum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(W, axis=1)], axis=1)
-        w = riemann + np.take_along_axis(wcum, count[..., None], axis=1)
+        inc = y[:, :-1] * np.diff(base, axis=1)
+        cont = np.concatenate([np.zeros((B, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+    wcum = np.concatenate([np.zeros((B, 1, d)), np.cumsum(W, axis=1)], axis=1)
+    w = cont + np.take_along_axis(wcum, count[..., None], axis=1)
 
     # left limits differ from right values only at the jump positions (a
     # padded column writes the value at time 1 back unchanged)

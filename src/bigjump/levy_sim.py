@@ -409,12 +409,12 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     ``t`` must be a grid point.
 
     The jump part is kept per replicate, (batch, most jumps) arrays, never on
-    the grid: the jumps of a grid cell are summed in draw order, their
-    running sum J is piecewise constant on the grid, and the grid sup is the
-    maximum over J's constant stretches of J plus the stretch's largest
-    continuous value (exact, since rounding x + J is monotone in x).  The cost
-    grows with the batch size times its largest jump count, not times the
-    grid size.
+    the grid.  Each replicate's jumps are sorted once, by time, and summed in
+    that one order for every value read.  The running sum J is piecewise
+    constant on the grid, and the grid sup is the maximum over J's constant
+    stretches of J plus the stretch's largest continuous value (exact, since
+    rounding x + J is monotone in x).  The cost grows with the batch size
+    times its largest jump count, not times the grid size.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
@@ -436,6 +436,10 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         jt, jz = _jump_marks(model, rng, (b, kmax))
         jz = np.where(mask, jz[..., 0], 0.0)
         jt = np.where(mask, jt, 2.0)  # parked beyond the horizon
+        # time order; the parked columns sort last, so ``mask`` still holds
+        order = np.argsort(jt, axis=1)
+        jt = np.take_along_axis(jt, order, axis=1)
+        jz = np.take_along_axis(jz, order, axis=1)
 
         # integrand on the grid and at the jump times; exp-OU at a jump time
         # takes its last grid sample before the jump
@@ -462,54 +466,40 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             dw *= y_grid[:, :-1]
             np.cumsum(dw, axis=1, out=dw)
 
-        # jump part on the grid: a jump at tau counts from the first grid
-        # point >= tau on.  Sorting by that cell keeps draw order inside a
-        # cell; J holds the running sum over cells, complete at each cell's
-        # last jump (starting every cell from 0.0 and adding cells in order
-        # gives the bits of a dense per-grid-point sum and its cumsum).
+        # jump part: cum[:, k] is the sum of the first k jumps in time order.
+        # A jump at tau counts on the grid from the first grid point >= tau
+        # on, its cell, so the grid value is cum at the jumps seen so far
+        cum = np.zeros((b, kmax + 1))
+        np.cumsum(wz, axis=1, out=cum[:, 1:])
         cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
-        by_cell = np.argsort(cell, axis=1, kind="stable")
-        cell = np.take_along_axis(cell, by_cell, axis=1)
-        w = np.take_along_axis(wz, by_cell, axis=1)
-        acc = 0.0 + w
-        same = cell[:, 1:] == cell[:, :-1]
-        for k in np.flatnonzero(same.any(axis=0)) + 1:
-            acc[:, k] = np.where(same[:, k - 1], acc[:, k - 1] + w[:, k], acc[:, k])
-        last = np.hstack([~same, np.ones((b, 1), dtype=bool)])
-        J = np.cumsum(np.where(last, acc, 0.0), axis=1)
-
         seen = np.count_nonzero(cell <= it, axis=1)
-        j_end = np.where(seen > 0, J[rows[:, 0], seen - 1], 0.0)
-        endpoints[start:stop] = (wc[:, it] if has_cont else 0.0) + j_end
+        endpoints[start:stop] = (wc[:, it] if has_cont else 0.0) + cum[rows[:, 0], seen]
 
-        # grid sup: J is constant from each cell with jumps up to the next;
-        # stretch 0 runs from time 0 with J = 0 (jump cells are >= 1, since
-        # jump times are > 0, so a row's stretch starts strictly increase)
+        # grid sup: cum is constant from each cell's last jump up to the next
+        # cell with jumps; stretch 0 runs from time 0 with cum = 0 (jump cells
+        # are >= 1, since jump times are > 0, so a row's stretch starts strictly
+        # increase)
+        last = np.hstack([cell[:, 1:] != cell[:, :-1], np.ones((b, 1), dtype=bool)])
         stretch = np.hstack([np.ones((b, 1), dtype=bool), last & (cell <= it)])
-        stretch_j = np.hstack([np.zeros((b, 1)), J])
         stretch_wc = np.zeros((b, kmax + 1))
         if has_cont:
             starts = np.hstack([np.zeros((b, 1), dtype=int), cell]) + rows * (it + 1)
             stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
                                                       starts[stretch])
-        sup_vals = np.max(np.where(stretch, stretch_wc + stretch_j, -np.inf), axis=1)
+        sup_vals = np.max(np.where(stretch, stretch_wc + cum, -np.inf), axis=1)
 
-        # post-jump values between grid points: interpolate the continuous part
-        # and add the time-ordered cumulative jump sums
-        order = np.argsort(jt, axis=1)
-        wz_sorted = np.take_along_axis(wz, order, axis=1)
-        cum_sorted = np.cumsum(wz_sorted, axis=1)
-        jt_sorted = np.take_along_axis(jt, order, axis=1)
+        # values on both sides of each jump between grid points: interpolate
+        # the continuous part and add the jump sums
         wc_at = 0.0
         if has_cont:
-            seg = np.clip((jt_sorted * grid_size).astype(int), 0, grid_size - 1)
-            frac = jt_sorted * grid_size - seg
+            seg = np.clip((jt * grid_size).astype(int), 0, grid_size - 1)
+            frac = jt * grid_size - seg
             xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
             wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
-        value_at = wc_at + cum_sorted
-        ok = jt_sorted <= t
+        value_at = wc_at + cum[:, 1:]
+        ok = jt <= t
         post = np.where(ok, value_at, -np.inf)
-        pre = np.where(ok, value_at - wz_sorted, -np.inf)
+        pre = np.where(ok, value_at - wz, -np.inf)
         sup_vals = np.maximum(sup_vals, post.max(axis=1))
         sup_vals = np.maximum(sup_vals, pre.max(axis=1))
         sups[start:stop] = np.maximum(sup_vals, 0.0)  # path starts at 0

@@ -389,10 +389,11 @@ class TestBatchFunctionals:
 
 
 def dense_batch_reference(model, integrand, t, n, seed, grid_size):
-    """``batch_integral_functionals`` as it was before the jump part went
-    sparse: the jump sums live on the whole grid (``np.add.at``, a row
-    ``cumsum``) and the grid sup is a dense maximum.  Kept as the reference
-    the sparse sampler must match bit for bit; batches follow ``_BATCH``."""
+    """``batch_integral_functionals`` with the jump part on the whole grid:
+    the running sum of the time-ordered jumps is gathered onto every grid
+    point by the count of jumps at or before it, and the grid sup is a dense
+    maximum.  Kept as the reference the sparse sampler must match bit for
+    bit; batches follow ``_BATCH``."""
     it = round(t * grid_size)
     has_cont = model.diffusion.any() or model.drift.any()
     grid = np.linspace(0.0, 1.0, grid_size + 1)
@@ -426,18 +427,21 @@ def dense_batch_reference(model, integrand, t, n, seed, grid_size):
         else:
             wc = np.zeros((b, grid_size + 1))
             xc = wc
-        gpos = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
-        jump_grid = np.zeros((b, grid_size + 2))
-        np.add.at(jump_grid, (np.arange(b)[:, None], gpos), wz)
-        jump_grid = np.cumsum(jump_grid[:, : grid_size + 1], axis=1)
-        endpoints[start:stop] = wc[:, it] + jump_grid[:, it]
-        sup_vals = np.max(wc[:, : it + 1] + jump_grid[:, : it + 1], axis=1)
+        rows = np.arange(b)[:, None]
         order = np.argsort(jt, axis=1)
         wz_sorted = np.take_along_axis(wz, order, axis=1)
-        cum_sorted = np.cumsum(wz_sorted, axis=1)
+        cum = np.zeros((b, kmax + 1))
+        np.cumsum(wz_sorted, axis=1, out=cum[:, 1:])
+        cum_sorted = cum[:, 1:]
         jt_sorted = np.take_along_axis(jt, order, axis=1)
+        gpos = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
+        seen = np.zeros((b, grid_size + 2), dtype=int)
+        np.add.at(seen, (rows, gpos), 1)
+        seen = np.cumsum(seen[:, : grid_size + 1], axis=1)  # jumps at or before
+        jump_grid = np.take_along_axis(cum, seen, axis=1)
+        endpoints[start:stop] = wc[:, it] + jump_grid[:, it]
+        sup_vals = np.max(wc[:, : it + 1] + jump_grid[:, : it + 1], axis=1)
         seg = np.clip((jt_sorted * grid_size).astype(int), 0, grid_size - 1)
-        rows = np.arange(b)[:, None]
         frac = jt_sorted * grid_size - seg
         xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
         wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
@@ -471,6 +475,10 @@ class TestBatchDifferential:
                      id="many-jumps-per-cell"),
         pytest.param(LevyModel(1, 1.0, 1.2, [([1.0], 1.0)]),
                      ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 128, id="no-diffusion-exp-ou"),
+        pytest.param(LevyModel(1, 40.0, 1.5, [([1.0], 0.6), ([-1.0], 0.4)],
+                               diffusion=[[0.2]]),
+                     ExpOUIntegrand(2.0, 0.3, 1.0), 1.0, 16,
+                     id="many-jumps-per-cell-exp-ou"),
         pytest.param(LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], drift=[1.0]),
                      ConstantIntegrand([2.0]), 0.5, 64, id="pure-drift"),
     ])
