@@ -10,6 +10,13 @@ isolation, bit for bit.  ``diagnostics.one_big_jump_curve`` relies on this:
 it regenerates every replicate's draws from its keys, in blocks of replicates,
 and decides each replicate from those arrays.
 
+A jump stream (``JUMP_STREAM``) holds, in order: the Poisson jump count
+(one per replicate of a batch), the jump times, the Pareto radii, and then
+one uniform per jump that picks its spectral direction.  A one-atom spectral
+measure draws no direction uniforms, so its stream ends after the radii;
+every sampler draws the directions last, so skipping them moves no other
+draw.
+
 ``rekey`` moves an existing generator to the start of another key's stream
 in place, which gives the same draws as a new ``substream`` at a fraction of
 the construction cost; the screening loop uses it once per replicate stream.

@@ -237,8 +237,10 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
 
     Every jump takes its own slot after the grid points at or before it, so
     a jump at a grid time follows that grid point and equal jump times take
-    consecutive slots, each a zero-length piece of W.  An exp-OU integrand
-    still spends one normal on such a piece, with deviation 0.
+    consecutive slots, each a zero-length piece of W.  Equal-time jumps are
+    summed into the last of their slots, the others jumping by 0, so W never
+    passes through a value between them.  An exp-OU integrand still spends
+    one normal on such a piece, with deviation 0.
     """
     d, gs = model.dimension, grid_size
     g = np.linspace(0.0, 1.0, gs + 1)
@@ -261,6 +263,12 @@ def _screen(model: LevyModel, integrand: Optional[IntegrandSpec], seed: int,
     jt[real] = np.concatenate(jts)
     Z = np.zeros((B, K, d))
     Z[real] = np.concatenate(jss)
+    # jumps at one time are one jump of the path: each size is carried into
+    # the next jump at its time, and its own slot keeps a zero jump
+    for j in np.flatnonzero(np.any(real[:, 1:] & (jt[:, 1:] == jt[:, :-1]), axis=0)):
+        same = real[:, j + 1] & (jt[:, j + 1] == jt[:, j])
+        Z[same, j + 1] += Z[same, j]
+        Z[same, j] = 0.0
 
     # merged grid: ``take`` indexes [uniform grid | jump times] per position;
     # the padded tail points at time 1.  ``ju`` counts the grid points at or

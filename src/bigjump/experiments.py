@@ -288,7 +288,7 @@ _RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "
 def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
     endpoint, _ = batch_integral_functionals(spec.model, spec.integrand, spec.t, spec.n,
                                              spec.seed, grid_size=spec.grid_size,
-                                             threads=threads)
+                                             threads=threads, running_sup=False)
     measure = spec.model.induced_measure()
     # the limit measure is homogeneous: one prediction at level 1 serves all
     mass = analytic_prediction(measure, spec.integrand, spec.t, 1.0, spec.n_mc_inner,

@@ -223,12 +223,17 @@ def _pareto_radii(rng: np.random.Generator, alpha: float, shape) -> np.ndarray:
 def _jump_marks(model: LevyModel, rng: np.random.Generator,
                 shape) -> tuple[np.ndarray, np.ndarray]:
     """Uniform times in (0, 1], shape ``shape``, and sizes (*shape, d) of big
-    jumps, drawn as times, then Pareto radii, then spectral directions."""
+    jumps, drawn as times, then Pareto radii, then one uniform per jump that
+    picks its spectral direction; a one-atom measure draws no uniforms."""
     times = 1.0 - rng.random(shape)
     radii = _pareto_radii(rng, model.radial_alpha, shape)
     dirs = np.stack([s for s, _ in model.spectral])
-    weights = np.array([w for _, w in model.spectral])
-    return times, radii[..., None] * dirs[rng.choice(len(weights), size=shape, p=weights)]
+    if len(dirs) == 1:
+        return times, radii[..., None] * dirs[0]
+    # the draw of ``rng.choice(len(w), shape, p=w)``, without its checks of w
+    cdf = np.cumsum([w for _, w in model.spectral])
+    cdf /= cdf[-1]
+    return times, radii[..., None] * dirs[cdf.searchsorted(rng.random(shape), side="right")]
 
 
 def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -397,11 +402,14 @@ _BATCH = 8192
 
 def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
                                t: float, n: int, seed: int, grid_size: int = 512,
-                               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                               threads: int = 1, running_sup: bool = True
+                               ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Endpoint value and running sup over [0, t] of the integral, vectorized.
 
     Returns arrays of shape (n,): ((Y.X)_t, sup_{s<=t} (Y.X)_s) for a
-    one-dimensional model.  Replicates are simulated in fixed-size batches
+    one-dimensional model.  With ``running_sup=False`` the sup is neither
+    computed nor allocated, and None takes its place; the endpoints are the
+    same bits either way.  Replicates are simulated in fixed-size batches
     with counter-based per-batch streams, so results are reproducible for any
     ``n``, and the batches are split over ``threads`` without changing a bit.
     An exp-OU integrand is evaluated at jump times via its last grid sample
@@ -424,7 +432,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     has_cont = model.diffusion.any() or model.drift.any()
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     endpoints = np.empty(n)
-    sups = np.empty(n)
+    sups = np.empty(n) if running_sup else None
 
     def batch(batch_index: int, start: int, stop: int) -> None:
         b = stop - start
@@ -474,6 +482,8 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
         seen = np.count_nonzero(cell <= it, axis=1)
         endpoints[start:stop] = (wc[:, it] if has_cont else 0.0) + cum[rows[:, 0], seen]
+        if not running_sup:
+            return
 
         # grid sup: cum is constant from each cell's last jump up to the next
         # cell with jumps; stretch 0 runs from time 0 with cum = 0 (jump cells

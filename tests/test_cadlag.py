@@ -206,7 +206,7 @@ def _reference_interior(grid, a, b):
                  int(np.searchsorted(grid, b, side="left")))
 
 
-def _reference_seg_cost(x, y, anchors, i, j, k, l, lim):
+def _reference_seg_cost(x, y, anchors, i, j, k, l):
     """Affine stretch (p_i, q_j) -> (p_k, q_l); interior events only."""
     gx, gy = x.grid, y.grid
     p0, q0, p1, q1 = anchors[i], anchors[j], anchors[k], anchors[l]
@@ -218,8 +218,6 @@ def _reference_seg_cost(x, y, anchors, i, j, k, l, lim):
         c = np.maximum(np.linalg.norm(x._left[sl] - yl, axis=1),
                        np.linalg.norm(x.values[sl] - yr, axis=1))
         cost = float(c.max())
-        if cost > lim:
-            return cost
     sl = _reference_interior(gy, q0, q1)
     if sl.stop > sl.start:
         xl, xr = _reference_sides_at(x, p0 + (gy[sl] - q0) / slope)
@@ -242,7 +240,7 @@ def _reference_sweep_cost(fixed_value, path, a, b):
     return cost
 
 
-def _reference_j1_dp(x, y, refinement, cutoff):
+def _reference_j1_dp(x, y, refinement):
     """The scalar dynamic program: one ``seg_cost`` call per affine-stretch
     source and two ``sweep_cost`` calls per anchor pair and side."""
     anchors = _reference_anchors(x, y, refinement)
@@ -252,44 +250,37 @@ def _reference_j1_dp(x, y, refinement, cutoff):
     tdist = np.abs(anchors[None, :] - anchors[:, None])
     nodeL = np.maximum(tdist, np.linalg.norm(XL[:, None, :] - YL[None, :, :], axis=2))
     nodeR = np.maximum(tdist, np.linalg.norm(XR[:, None, :] - YR[None, :, :], axis=2))
-    big = np.inf
-    lim = big if cutoff is None else cutoff
-    fL = np.full((K, K), big)
-    fR = np.full((K, K), big)
+    fL = np.full((K, K), np.inf)
+    fR = np.full((K, K), np.inf)
     fR[0, 0] = nodeR[0, 0]
-    if fR[0, 0] > lim:
-        return fR[0, 0]
     for i in range(K):
         for j in range(K):
-            if i > 0 and j > 0 and nodeL[i, j] <= lim:
+            if i > 0 and j > 0:
                 best = fL[i, j]
                 for i0 in range(i):
-                    if not np.any(fR[i0, :j] <= lim):
-                        continue
                     for j0 in range(j):
                         prev = fR[i0, j0]
-                        if prev > lim or prev >= best:
+                        if prev >= best:
                             continue
-                        c = max(prev, _reference_seg_cost(x, y, anchors, i0, j0, i, j, lim),
+                        c = max(prev, _reference_seg_cost(x, y, anchors, i0, j0, i, j),
                                 nodeL[i, j])
                         if c < best:
                             best = c
                 fL[i, j] = best
-            if fL[i, j] <= lim and nodeR[i, j] <= lim:
-                fR[i, j] = min(fR[i, j], max(fL[i, j], nodeR[i, j]))
+            fR[i, j] = min(fR[i, j], max(fL[i, j], nodeR[i, j]))
             for f, xv, yv, node in ((fL, XL, YL, nodeL), (fR, XR, YR, nodeR)):
                 cur = f[i, j]
-                if cur > lim:
+                if cur == np.inf:
                     continue
                 if j + 1 < K:
                     c = max(cur, _reference_sweep_cost(xv[i], y, anchors[j], anchors[j + 1]),
                             node[i, j + 1])
-                    if c <= lim and c < f[i, j + 1]:
+                    if c < f[i, j + 1]:
                         f[i, j + 1] = c
                 if i + 1 < K:
                     c = max(cur, _reference_sweep_cost(yv[j], x, anchors[i], anchors[i + 1]),
                             node[i + 1, j])
-                    if c <= lim and c < f[i + 1, j]:
+                    if c < f[i + 1, j]:
                         f[i + 1, j] = c
     return float(fR[K - 1, K - 1])
 
@@ -341,16 +332,15 @@ def _levy_path_pairs(count):
 
 class TestJ1Differential:
     """``j1_distance`` is bit-equal to the scalar dynamic program, and
-    ``j1_within`` agrees with it at cutoffs just below, at and just above the
-    value."""
+    ``j1_within`` agrees with it at thresholds just below, at and just above
+    the value."""
 
     @staticmethod
     def check(x, y, refinement):
-        d = _reference_j1_dp(x, y, refinement, None)
+        d = _reference_j1_dp(x, y, refinement)
         assert j1_distance(x, y, refinement) == d
         for eps in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
-            assert j1_within(x, y, eps, refinement) == \
-                (_reference_j1_dp(x, y, refinement, eps) <= eps) == (d <= eps)
+            assert j1_within(x, y, eps, refinement) == (d <= eps)
 
     @pytest.mark.parametrize("refinement", [1, 2, 4])
     def test_random_step_pairs(self, refinement):
@@ -394,7 +384,7 @@ class TestJ1Differential:
                 i0, j0, j = (np.array(v) for v in zip(*[
                     (a, b, c) for a in range(i) for c in range(1, K) for b in range(c)]))
                 got = cadlag._stretch_costs(x, y, anchors, bounds, i0, j0, i, j)
-                want = [_reference_seg_cost(x, y, anchors, a, b, i, c, np.inf)
+                want = [_reference_seg_cost(x, y, anchors, a, b, i, c)
                         for a, b, c in zip(i0, j0, j)]
                 assert np.array_equal(got, want)
 
@@ -416,7 +406,7 @@ class TestJ1Differential:
         for x, y in _levy_path_pairs(2):
             self.check(x, y, 2)
             # the one-big-jump diagnostic's refinement and epsilon
-            assert j1_within(x, y, 0.1, 16) == (_reference_j1_dp(x, y, 16, 0.1) <= 0.1)
+            assert j1_within(x, y, 0.1, 16) == (j1_distance(x, y, 16) <= 0.1)
 
     def test_sides_at_matches_scalar_program(self):
         rng = np.random.default_rng(3)

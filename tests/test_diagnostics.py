@@ -327,13 +327,11 @@ class TestTwoPhaseScreening:
         assert curve_counts(curves) == want
 
     def test_equal_jump_times_count_as_one_jump_under_sup(self, monkeypatch):
-        # the first two jumps of a replicate at one time: W takes a zero-length
-        # piece through the value after the first.  With one-signed jumps and
-        # a positive integrand in one dimension that value lies between the
-        # values before and after the pair, and the norm is convex along the
-        # segment between them, so the sup conditioning is that of the path
-        # with the pair merged into one jump
-        model = LevyModel(1, 3.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]], drift=[-0.3])
+        # the first two jumps of a replicate at one time are one jump of the
+        # path, so both curves equal those of the draws with the pair merged.
+        # Kept as two jumps, W would pass through the value after the first,
+        # which with jumps of both signs, or in 2-D, can lie outside the
+        # segment between the values before and after the pair
         draw = levy_sim._draw_jumps
 
         def paired(merge):
@@ -348,15 +346,17 @@ class TestTwoPhaseScreening:
                 return times, sizes
             return draws
 
-        conditioned = []
-        for merge in (False, True):
-            monkeypatch.setattr(levy_sim, "_draw_jumps", paired(merge))
-            monkeypatch.setattr(diagnostics, "_draw_jumps", paired(merge))
-            sup_c, _ = one_big_jump_curve(model, ConstantIntegrand([2.0]), 0.1,
-                                          [1.0, 2.0, 4.0, 8.0], 200, 5, grid_size=32)
-            conditioned.append([e.n for e in sup_c.estimates])
-        assert conditioned[0] == conditioned[1]
-        assert conditioned[0][0] > 100
+        one_sided = LevyModel(1, 3.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]], drift=[-0.3])
+        for model, integrand in [(one_sided, ConstantIntegrand([2.0])),
+                                 (MIXED_MODEL, ConstantIntegrand([2.0])), (AXES_2D, None)]:
+            curves = []
+            for merge in (False, True):
+                monkeypatch.setattr(levy_sim, "_draw_jumps", paired(merge))
+                monkeypatch.setattr(diagnostics, "_draw_jumps", paired(merge))
+                curves.append(curve_counts(one_big_jump_curve(
+                    model, integrand, 0.1, [1.0, 2.0, 4.0, 8.0], 2000, 5, grid_size=32)))
+            assert curves[0] == curves[1]
+            assert curves[0][0][0] > 1000
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.5])
     def test_replicate_without_jumps_exceeds_by_its_sup(self, epsilon):

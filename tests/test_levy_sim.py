@@ -73,6 +73,40 @@ class TestBigJumps:
         c = simulate_big_jumps(m, SimConfig(16, 9, 5))
         assert not np.array_equal(a[0], c[0])
 
+    @staticmethod
+    def choice_marks(model, rng, shape):
+        """``_jump_marks`` with the directions drawn by ``rng.choice``."""
+        times = 1.0 - rng.random(shape)
+        radii = (1.0 - rng.random(shape)) ** (-1.0 / model.radial_alpha)
+        dirs = np.stack([s for s, _ in model.spectral])
+        weights = np.array([w for _, w in model.spectral])
+        return times, radii[..., None] * dirs[rng.choice(len(weights), size=shape,
+                                                         p=weights)]
+
+    @pytest.mark.parametrize("spectral", [
+        pytest.param([([1.0], 1.0)], id="one-atom"),
+        pytest.param([([1.0], 0.7), ([-1.0], 0.3)], id="two-atoms"),
+        pytest.param([([1.0, 0.0], 0.1), ([-1.0, 0.0], 0.2), ([0.0, 1.0], 0.3),
+                      ([0.0, -1.0], 0.4)], id="four-atoms-2d"),
+    ])
+    @pytest.mark.parametrize("shape", [7, (300, 5)], ids=["count", "batch"])
+    def test_directions_bit_equal_to_choice(self, spectral, shape):
+        # the direction uniforms are searched in the normalized cumulative
+        # weights, the draw ``rng.choice`` makes; a one-atom measure draws
+        # none, so the stream stops after the radii
+        model = LevyModel(len(spectral[0][0]), 1.0, 1.5, spectral)
+        for key in range(20):
+            rng, ref = substream(3, key, JUMP_STREAM), substream(3, key, JUMP_STREAM)
+            times, sizes = levy_sim._jump_marks(model, rng, shape)
+            want_times, want_sizes = self.choice_marks(model, ref, shape)
+            assert np.array_equal(times, want_times)
+            assert np.array_equal(sizes, want_sizes)
+            if len(spectral) == 1:
+                ref = substream(3, key, JUMP_STREAM)
+                ref.random(shape)
+                ref.random(shape)
+            assert np.array_equal(rng.random(4), ref.random(4))
+
 
 class TestSmallPart:
     def test_zero_part(self):
@@ -490,3 +524,7 @@ class TestBatchDifferential:
         want = dense_batch_reference(model, spec, t, n, seed, grid_size)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+        # the endpoint-only mode: the same endpoint bits, and no sup
+        endpoint, sup = batch_integral_functionals(model, spec, t, n, seed, grid_size,
+                                                   running_sup=False)
+        assert np.array_equal(endpoint, want[0]) and sup is None
