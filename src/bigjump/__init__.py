@@ -14,7 +14,6 @@ from .experiments import RunManifest, ValidationError, config_hash, run, validat
 from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
                        IntegrandSpec, LevyModel, SimConfig,
                        assemble_levy_path, batch_integral_functionals,
-                       integrand_from_dict, one_jump_integral, simulate_big_jumps,
-                       simulate_integrand, simulate_levy_path, simulate_small_part,
-                       stochastic_integral)
+                       one_jump_integral, simulate_big_jumps, simulate_integrand,
+                       simulate_levy_path, simulate_small_part, stochastic_integral)
 from .regvar import RegVarMeasure, ScalingSequence, mu_tail, weighted_one_step_mass

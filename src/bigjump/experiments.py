@@ -2,13 +2,14 @@
 
 A single JSON document describes one experiment (kind, model, integrand,
 levels, replicate budget, seed, output format).  :func:`parse` turns it into
-the typed spec of its kind in one step: it builds the model and integrand,
-resolves every default and reports every violated invariant at once.
-:func:`validate` returns those violations and :func:`run` hands the spec to
-the kind's runner, writes the output files and returns a manifest, so the two
-accept exactly the same configs.  Rerunning with an identical config and seed
-reproduces the estimate files byte for byte; every output file carries the
-config hash.
+the typed spec of its kind in one step, with one reader for the top level and
+every section: each key is read by one rule wherever it appears, and a section
+such as ``model`` goes to the constructor of its variant.  It resolves every
+default and reports every violated invariant at once.  :func:`validate`
+returns those violations and :func:`run` hands the spec to the kind's runner,
+writes the output files and returns a manifest, so the two accept exactly the
+same configs.  Rerunning with an identical config and seed reproduces the
+estimate files byte for byte; every output file carries the config hash.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
                           breiman_ratio, double_jump_trend,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
-from .levy_sim import (ConstantIntegrand, LevyModel, SimConfig, _pareto_radii,
-                       batch_integral_functionals, integrand_from_dict, one_jump_integral,
-                       simulate_integrand, simulate_levy_path, stochastic_integral)
+from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
+                       LevyModel, SimConfig, _pareto_radii, batch_integral_functionals,
+                       one_jump_integral, simulate_integrand, simulate_levy_path,
+                       stochastic_integral)
 from .regvar import RegVarMeasure
 
 
@@ -75,9 +77,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and -2 ** 63 <= v < 2 ** 63
 
 
-def _is_real(v) -> bool:
-    """Whether ``v`` is an int or float with a finite float value; an int
-    too large for a float raises _Invalid."""
+def _is_real(v, ndim: int = 0) -> bool:
+    """Whether ``v`` is ``ndim`` levels of lists around ints or floats with
+    finite float values; an int too large for a float raises _Invalid."""
+    if ndim:
+        return isinstance(v, list) and all(_is_real(u, ndim - 1) for u in v)
     if isinstance(v, float):
         return math.isfinite(v)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -107,44 +111,14 @@ def _real(ok: Callable[[float], bool], message: str) -> Callable:
     return _reader(lambda v: _is_real(v) and ok(v), message, float)
 
 
-def _built(build: Callable[[dict], object]) -> Callable:
-    """Reader for a section that a library constructor parses; its keys are
-    those of the built object's own dict form."""
-    def read(v):
-        if not isinstance(v, dict):
-            raise _Invalid("must be a JSON object")
-        try:
-            built = build(v)
-        except KeyError as exc:
-            raise _Invalid(f"lacks key {exc}") from None
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise _Invalid(f"is invalid: {exc}") from None
-        unknown = sorted(set(v) - set(built.to_dict()))
-        if unknown:
-            raise _Invalid(f"has unknown key {', '.join(unknown)}")
-        return built
-    return read
-
-
-def _breiman_y(v) -> Callable:
-    if isinstance(v, dict) and len(v) == 2:
-        if v.get("kind") == "const" and _is_real(v.get("value")) and v["value"] > 0:
-            value = float(v["value"])
-            return lambda rng, size: np.full(size, value)
-        if v.get("kind") == "lognormal" and _is_real(v.get("sigma")) and v["sigma"] > 0:
-            sigma = float(v["sigma"])
-            return lambda rng, size: np.exp(sigma * rng.standard_normal(size))
-    raise _Invalid("must be {kind: const, value > 0} or {kind: lognormal, sigma > 0}")
-
-
+_NUMBER = _real(lambda v: True, "must be a finite number")
 _POSITIVE = _real(lambda v: v > 0, "must be positive")
 
-# How each key is read, wherever it appears.
+# How each key is read, wherever it appears, sections included.
 _READERS: dict[str, Callable] = {
     "kind": lambda v: v,  # parse checks it before choosing the schema
     "seed": _reader(_is_int, "must be an integer in [-2**63, 2**63)"),
     "format": _reader(lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
-    "model": _built(LevyModel.from_dict), "integrand": _built(integrand_from_dict),
     "grid_size": _count(2), "n": _count(1), "n_mc_inner": _count(1),
     "refinement": _count(0), "n_paths": _count(1), "epsilon": _POSITIVE,
     "t": _real(lambda v: 0 < v <= 1, "must lie in (0, 1]"),
@@ -153,12 +127,24 @@ _READERS: dict[str, Callable] = {
                       and all(_is_real(u) and u > 0 for u in v)
                       and all(a < b for a, b in zip(v, v[1:])),
                       "must be a nonempty strictly increasing list of positive numbers", tuple),
-    "y": _breiman_y, "alpha": _POSITIVE, "lam": _POSITIVE,
+    "alpha": _POSITIVE, "lam": _POSITIVE,
     "beta": _real(lambda v: 0.5 < v < 1, "must lie in (1/2, 1)"), "x_level": _POSITIVE,
     "n_values": _reader(lambda v: isinstance(v, list) and v
                         and all(_is_int(k) and k >= 1 for k in v),
                         "must be a nonempty list of integers in [1, 2**63)", tuple),
     "reps": _count(1), "n_trials": _count(1),
+    "dimension": _count(1), "big_jump_intensity": _POSITIVE, "radial_alpha": _POSITIVE,
+    "spectral": _reader(lambda v: isinstance(v, list) and all(
+                            isinstance(a, dict) and set(a) == {"dir", "w"}
+                            and _is_real(a["dir"], 1) and _is_real(a["w"]) for a in v),
+                        "must be a list of atoms {dir: list of finite numbers, "
+                        "w: finite number}", lambda v: [(a["dir"], a["w"]) for a in v]),
+    "diffusion": _reader(lambda v: _is_real(v, 2), "must be a list of lists of finite numbers"),
+    "drift": _reader(lambda v: _is_real(v, 1), "must be a list of finite numbers"),
+    "value": _reader(lambda v: _is_real(v) or _is_real(v, 1),
+                     "must be a finite number or a list of finite numbers"),
+    "form": _reader(lambda v: v == "exp", "must be 'exp'"),
+    "scale": _NUMBER, "rate": _NUMBER, "vol": _NUMBER, "initial": _NUMBER, "sigma": _POSITIVE,
 }
 
 
@@ -183,9 +169,9 @@ def _relations(schema: dict, v: dict) -> list[str]:
 
 
 def _read(schema: dict, obj, errors: list[str], where: str = "",
-          known: Optional[frozenset] = None) -> Optional[SimpleNamespace]:
-    """The spec ``schema`` reads from the mapping ``obj``, or None when a
-    violation was appended to ``errors``."""
+          known: Optional[frozenset] = None, build: Callable = SimpleNamespace):
+    """What ``build`` makes of the keys ``schema`` reads from the mapping
+    ``obj``, or None when a violation was appended to ``errors``."""
     if not isinstance(obj, dict):
         errors.append(f"{where or 'config'} must be a JSON object")
         return None
@@ -195,12 +181,12 @@ def _read(schema: dict, obj, errors: list[str], where: str = "",
     for key, default in schema.items():
         raw = obj.get(key)
         if raw is None:
-            if default is _REQUIRED or isinstance(default, dict):
+            if default is _REQUIRED:
                 errors.append(f"{prefix}{key} is required")
             else:
                 values[key] = default
-        elif isinstance(default, dict):
-            values[key] = _read(default, raw, errors, prefix + key)
+        elif key in _SECTIONS:
+            values[key] = _read_section(raw, errors, prefix + key, *_SECTIONS[key])
         else:
             try:
                 values[key] = _READERS[key](raw)
@@ -209,7 +195,25 @@ def _read(schema: dict, obj, errors: list[str], where: str = "",
     unknown = set(obj) - (known or set(schema))
     errors.extend(f"unknown key {prefix}{key}" for key in sorted(unknown))
     errors.extend(_relations(schema, values))
-    return SimpleNamespace(**values) if len(errors) == before else None
+    if len(errors) > before:
+        return None
+    try:
+        return build(**values)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        errors.append(f"{where} is invalid: {exc}")
+        return None
+
+
+def _read_section(obj, errors: list[str], where: str, selector: Optional[str],
+                  variants: dict) -> object:
+    """What the constructor of ``obj``'s variant builds from it, or None (see _read)."""
+    # a non-object takes any schema, which rejects it
+    variant = obj.get(selector) if isinstance(obj, dict) else next(iter(variants))
+    if variant not in tuple(variants):  # a tuple, since variant may be unhashable
+        errors.append(f"{where}.{selector} must be one of {', '.join(variants)}")
+        return None
+    schema, build = variants[variant]
+    return _read(schema, obj, errors, where, frozenset(schema) | {selector}, build)
 
 
 def parse(config: dict) -> SimpleNamespace:
@@ -385,8 +389,8 @@ def _run_paths(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
     return names
 
 
-# What each kind reads: key -> default, _REQUIRED, or a section's own schema.
-# An absent key and null both take the default.
+# What each kind reads: key -> default or _REQUIRED.  An absent key and null
+# both take the default.
 _REQUIRED = object()
 _COMMON = {"kind": _REQUIRED, "seed": _REQUIRED, "format": "csv"}
 _SIMULATION = {**_COMMON, "model": _REQUIRED, "integrand": _REQUIRED, "grid_size": 512}
@@ -395,18 +399,48 @@ _TAIL_EQUIVALENCE = {**_SIMULATION, "levels": _REQUIRED, "n": _REQUIRED, "t": 1.
 # kind -> (schema, runner); error messages list the kinds in this order.
 _KINDS: dict[str, tuple[dict, Callable[..., list[str]]]] = {
     "tails": ({**_TAIL_EQUIVALENCE, "n_mc_inner": 2048}, _run_tails),
-    "breiman": ({**_COMMON, "levels": _REQUIRED, "n": _REQUIRED,
-                 "breiman": {"alpha": _REQUIRED, "y": _REQUIRED}}, _run_breiman),
+    "breiman": ({**_COMMON, "levels": _REQUIRED, "n": _REQUIRED, "breiman": _REQUIRED},
+                _run_breiman),
     "one-big-jump": ({**_SIMULATION, "integrand": None, "grid_size": 256,
                       "levels": _REQUIRED, "n": _REQUIRED, "epsilon": _REQUIRED,
                       "refinement": 4}, _run_one_big_jump),
     "tail-equivalence": (_TAIL_EQUIVALENCE, _run_tail_equivalence),
-    "lemma-checks": ({**_COMMON, "lemma_checks": {
-        "alpha": _REQUIRED, "lam": _REQUIRED, "beta": 0.75, "x_level": _REQUIRED,
-        "n_values": _REQUIRED, "reps": _REQUIRED, "n_trials": _REQUIRED}}, _run_lemma_checks),
+    "lemma-checks": ({**_COMMON, "lemma_checks": _REQUIRED}, _run_lemma_checks),
     "paths": ({**_SIMULATION, "n_paths": _REQUIRED}, _run_paths),
 }
 _TOP_LEVEL_KEYS = frozenset(key for schema, _ in _KINDS.values() for key in schema)
+
+
+def _const_y(value) -> Callable:
+    if np.ndim(value) or not value > 0:
+        raise ValueError("value must be a positive number")
+    return lambda rng, size: np.full(size, float(value))
+
+
+def _lognormal_y(sigma: float) -> Callable:
+    return lambda rng, size: np.exp(sigma * rng.standard_normal(size))
+
+
+# How each section is read: key -> (the key that names its variant, None for
+# a single variant; variant -> (schema, constructor)).  The constructor takes
+# the schema's keys as keyword arguments.
+_SECTIONS: dict[str, tuple[Optional[str], dict]] = {
+    "model": (None, {None: ({"dimension": _REQUIRED, "big_jump_intensity": _REQUIRED,
+                             "radial_alpha": _REQUIRED, "spectral": _REQUIRED,
+                             "diffusion": None, "drift": None}, LevyModel)}),
+    "integrand": ("variant", {
+        "constant": ({"value": _REQUIRED}, ConstantIntegrand),
+        "deterministic": ({"form": _REQUIRED, "scale": _REQUIRED, "rate": _REQUIRED},
+                          lambda form, scale, rate: DeterministicIntegrand(scale, rate)),
+        "exp_ou": ({"rate": _REQUIRED, "vol": _REQUIRED, "initial": _REQUIRED},
+                   ExpOUIntegrand)}),
+    "breiman": (None, {None: ({"alpha": _REQUIRED, "y": _REQUIRED}, SimpleNamespace)}),
+    "y": ("kind", {"const": ({"value": _REQUIRED}, _const_y),
+                   "lognormal": ({"sigma": _REQUIRED}, _lognormal_y)}),
+    "lemma_checks": (None, {None: ({
+        "alpha": _REQUIRED, "lam": _REQUIRED, "beta": 0.75, "x_level": _REQUIRED,
+        "n_values": _REQUIRED, "reps": _REQUIRED, "n_trials": _REQUIRED}, SimpleNamespace)}),
+}
 
 
 def run(config: dict, out_dir: str | Path = ".", threads: int = 1) -> RunManifest:

@@ -56,11 +56,14 @@ class LevyModel:
                  diffusion=None, drift=None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if not big_jump_intensity > 0:
-            raise ValueError("big_jump_intensity must be positive")
-        if not radial_alpha > 0:
-            raise ValueError("radial_alpha must be positive")
+        # checks that the intensity and the tail index are positive
         measure = RegVarMeasure(radial_alpha, big_jump_intensity, spectral)
+        try:
+            # the jump count is one Poisson draw at this rate
+            np.random.default_rng(0).poisson(big_jump_intensity)
+        except ValueError as exc:
+            raise ValueError(f"big_jump_intensity {big_jump_intensity} is beyond numpy's "
+                             f"Poisson sampler: {exc}") from None
         if measure.dimension != dimension:
             raise ValueError("spectral directions must have the model dimension")
         B = np.zeros((dimension, dimension)) if diffusion is None \
@@ -85,22 +88,6 @@ class LevyModel:
         """Limit measure of the jump law: intensity = jump rate, same spectrum."""
         return RegVarMeasure(self.radial_alpha, self.big_jump_intensity,
                              [(s, w) for s, w in self.spectral])
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "big_jump_intensity": self.big_jump_intensity,
-            "radial_alpha": self.radial_alpha,
-            "spectral": [{"dir": list(map(float, s)), "w": w} for s, w in self.spectral],
-            "diffusion": [[float(v) for v in row] for row in self.diffusion],
-            "drift": [float(v) for v in self.drift],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LevyModel":
-        return cls(obj["dimension"], obj["big_jump_intensity"], obj["radial_alpha"],
-                   [(a["dir"], a["w"]) for a in obj["spectral"]],
-                   obj.get("diffusion"), obj.get("drift"))
 
 
 @dataclass(frozen=True)
@@ -131,9 +118,6 @@ class ConstantIntegrand:
         v.flags.writeable = False
         object.__setattr__(self, "value", v)
 
-    def to_dict(self) -> dict:
-        return {"variant": "constant", "value": [float(v) for v in self.value]}
-
 
 @dataclass(frozen=True)
 class DeterministicIntegrand:
@@ -153,10 +137,6 @@ class DeterministicIntegrand:
                              f"{self.scale} and rate {self.rate}")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rate", float(self.rate))
-
-    def to_dict(self) -> dict:
-        return {"variant": "deterministic", "form": "exp", "scale": self.scale,
-                "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -190,25 +170,8 @@ class ExpOUIntegrand:
             raise ValueError(f"vol {self.vol} with rate {self.rate} and initial "
                              f"{self.initial} overflows exp(U), 64 deviations out")
 
-    def to_dict(self) -> dict:
-        return {"variant": "exp_ou", "rate": self.rate, "vol": self.vol,
-                "initial": self.initial}
-
 
 IntegrandSpec = ConstantIntegrand | DeterministicIntegrand | ExpOUIntegrand
-
-
-def integrand_from_dict(obj: dict) -> IntegrandSpec:
-    variant = obj.get("variant")
-    if variant == "constant":
-        return ConstantIntegrand(obj["value"])
-    if variant == "deterministic":
-        if obj.get("form") != "exp":
-            raise ValueError(f"unknown deterministic integrand form: {obj.get('form')}")
-        return DeterministicIntegrand(obj["scale"], obj["rate"])
-    if variant == "exp_ou":
-        return ExpOUIntegrand(obj["rate"], obj["vol"], obj["initial"])
-    raise ValueError(f"unknown integrand variant: {variant}")
 
 
 # ---------------------------------------------------------------------------

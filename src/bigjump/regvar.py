@@ -47,25 +47,27 @@ class RegVarMeasure:
 
     def __init__(self, alpha: float, intensity_c: float,
                  spectral: Sequence[tuple[Sequence[float], float]]):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        if intensity_c <= 0:
+        if not intensity_c > 0:
             raise ValueError(f"intensity_c must be positive, got {intensity_c}")
         atoms = []
         total = 0.0
         for direction, weight in spectral:
             d = np.asarray(direction, dtype=float)
-            if weight < 0:
+            if not weight >= 0:
                 raise ValueError(f"spectral weight must be nonnegative, got {weight}")
+            if atoms and d.shape != atoms[0][0].shape:
+                raise ValueError(f"spectral directions {atoms[0][0]} and {d} differ in dimension")
             nrm = float(np.linalg.norm(d))
-            if abs(nrm - 1.0) > _TOL:
+            if not abs(nrm - 1.0) <= _TOL:
                 raise ValueError(f"spectral direction {d} has norm {nrm}, expected 1")
             d.flags.writeable = False
             atoms.append((d, float(weight)))
             total += weight
         if not atoms:
             raise ValueError("spectral measure needs at least one atom")
-        if abs(total - 1.0) > _TOL:
+        if not abs(total - 1.0) <= _TOL:
             raise ValueError(f"spectral weights sum to {total}, expected 1")
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "intensity_c", float(intensity_c))
@@ -99,7 +101,7 @@ class ScalingSequence:
     intensity_c: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.intensity_c <= 0:
+        if not (self.alpha > 0 and self.intensity_c > 0):
             raise ValueError("alpha and intensity_c must be positive")
 
     def value(self, n: int) -> float:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from bigjump import cli, diagnostics, levy_sim
-from bigjump.experiments import ValidationError, config_hash, run, validate
+from bigjump.experiments import ValidationError, config_hash, parse, run, validate
 
 MODEL = {"dimension": 1, "big_jump_intensity": 1.0, "radial_alpha": 1.5,
          "spectral": [{"dir": [1.0], "w": 1.0}],
@@ -97,6 +97,25 @@ BAD_CONFIGS = [
     pytest.param(tails_config(integrand=dict(EXP_OU, rate=800.0)), id="ou-rate-overflow"),
     pytest.param(tails_config(integrand=dict(EXP_OU, rate=1.0, vol=1000.0)),
                  id="ou-vol-overflow"),
+    # every number inside a section follows the top-level rules
+    pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=True)),
+                 id="intensity-bool"),
+    pytest.param(obj_config(model=dict(MODEL, radial_alpha=float("inf"))), id="alpha-inf"),
+    pytest.param(tails_config(model=dict(TWO_SIDED, spectral=[
+        {"dir": [1.0], "w": float("nan")}, {"dir": [-1.0], "w": 1.0}])), id="weight-nan"),
+    pytest.param(tails_config(model=dict(MODEL, spectral=[{"dir": [float("nan")], "w": 1.0}])),
+                 id="direction-nan"),
+    pytest.param(tails_config(model=dict(MODEL, spectral=[
+        {"dir": [1.0], "w": 1.0, "wieght": 1.0}])), id="unknown-atom-key"),
+    pytest.param(tails_config(model=dict(MODEL, dimension=1.0)), id="dimension-float"),
+    pytest.param(tails_config(model=dict(MODEL, diffusion=[[True]])), id="diffusion-bool"),
+    pytest.param(tails_config(integrand=dict(EXP_OU, initial=True)), id="ou-initial-bool"),
+    pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=1e300)),
+                 id="intensity-beyond-poisson"),
+    pytest.param(tails_config(model=dict(TWO_SIDED, spectral=[
+        {"dir": [1.0], "w": 0.5}, {"dir": [0.0, 1.0], "w": 0.5}])),
+                 id="directions-of-two-dimensions"),
+    pytest.param(tails_config(integrand=dict(UNIT_Y, value=[[1.0]])), id="constant-value-nested"),
 ]
 
 
@@ -225,10 +244,10 @@ class TestRun:
                            model=model, integrand=integrand, format="json")
         run(cfg, out_dir=tmp_path)
         rows = json.loads((tmp_path / "tails.json").read_text())["rows"]
-        measure = levy_sim.LevyModel.from_dict(model).induced_measure()
-        spec = levy_sim.integrand_from_dict(integrand)
-        predict = lambda u: diagnostics.analytic_prediction(measure, spec, 0.75, u, 32,
-                                                            42, 64)
+        spec = parse(cfg)
+        measure = spec.model.induced_measure()
+        predict = lambda u: diagnostics.analytic_prediction(measure, spec.integrand, 0.75,
+                                                            u, 32, 42, 64)
         at_one = predict(1.0)
         for u, analytic, *_, ratio in rows:
             assert analytic == predict(u) == at_one * u ** -measure.alpha

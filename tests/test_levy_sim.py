@@ -11,10 +11,9 @@ from bigjump.cadlag import CadlagPath, one_step_approx, sup_norm
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               ExpOUIntegrand, LevyModel, SimConfig,
                               assemble_levy_path, batch_integral_functionals,
-                              integrand_from_dict, one_jump_integral,
-                              simulate_big_jumps, simulate_integrand,
-                              simulate_levy_path, simulate_small_part,
-                              stochastic_integral)
+                              one_jump_integral, simulate_big_jumps,
+                              simulate_integrand, simulate_levy_path,
+                              simulate_small_part, stochastic_integral)
 
 
 def pure_jump_model(alpha=1.5, lam=1.0):
@@ -34,6 +33,13 @@ class TestModel:
             LevyModel(1, 1.0, 1.5, [([1.0, 0.0], 1.0)])
         with pytest.raises(ValueError):
             LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[np.inf]])
+
+    def test_rate_within_the_poisson_range(self):
+        # a rate numpy's Poisson sampler rejects would fail only at run time
+        LevyModel(1, 1e18, 1.5, [([1.0], 1.0)])
+        for lam in (1e19, 1e300, math.inf):
+            with pytest.raises(ValueError, match="Poisson sampler"):
+                LevyModel(1, lam, 1.5, [([1.0], 1.0)])
 
 
 class TestBigJumps:
@@ -184,13 +190,6 @@ class TestIntegrand:
                 for r in range(4000)]
         target = 0.25 * (1 - math.exp(-4.0)) / 4.0
         assert abs(np.var(np.log(vals)) - target) < 4 * target / math.sqrt(2000)
-
-    def test_from_dict_round_trip(self):
-        for spec in (ConstantIntegrand([2.0]),
-                     DeterministicIntegrand(1.0, -1.5),
-                     ExpOUIntegrand(1.0, 0.2, 1.0)):
-            obj = integrand_from_dict(spec.to_dict())
-            assert obj.to_dict() == spec.to_dict()
 
     def test_exp_ou_rate_bound(self):
         # exp(rate * t) * sd * z overflowed in _ou_exponent: such rates are

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +50,23 @@ class TestMeasure:
             RegVarMeasure(1.0, 1.0, [([1.0], 0.4), ([-1.0], 0.4)])
         with pytest.raises(ValueError):
             RegVarMeasure(1.0, 1.0, [([2.0], 1.0)])
+        with pytest.raises(ValueError, match="differ in dimension"):
+            RegVarMeasure(1.0, 1.0, [([1.0], 0.5), ([0.0, 1.0], 0.5)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: RegVarMeasure(math.nan, 1.0, [([1.0], 1.0)]),
+        lambda: RegVarMeasure(1.0, math.nan, [([1.0], 1.0)]),
+        lambda: RegVarMeasure(1.0, 1.0, [([1.0], math.nan), ([-1.0], 1.0)]),
+        lambda: RegVarMeasure(1.0, 1.0, [([math.nan], 1.0)]),
+        lambda: ScalingSequence(math.nan, 1.0),
+        lambda: ScalingSequence(1.0, math.nan),
+    ], ids=["alpha", "intensity", "weight", "direction", "scaling-alpha",
+            "scaling-intensity"])
+    def test_nan_rejected(self, make):
+        # every guard is written so that a NaN fails it
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestScaling:
     def test_values(self):
