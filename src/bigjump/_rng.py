@@ -33,7 +33,6 @@ returns the results in chunk order, so a merge over them is the same for any
   entry i, read on through its chunks in order, so the entries, not the
   chunks, are what it splits over threads (a ``chunks`` of size 1 over the
   entries, each running its own chunks on one thread);
-- ``weighted_one_step_mass``: (seed, start, AUX_STREAM);
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag;
 - ``one_big_jump_curve``: its screening blocks draw each replicate r from
   (seed, r, tag), so the split does not show in its counts.
@@ -41,7 +40,7 @@ returns the results in chunk order, so a merge over them is the same for any
 The batch sampler (tails and tail-equivalence), ``breiman_ratio``, and
 ``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks) run on
 ``threads`` > 1 when ``bigjump run --threads`` asks for it;
-``weighted_one_step_mass`` and ``one_big_jump_curve`` run on one thread.
+``one_big_jump_curve`` runs on one thread.
 """
 
 from __future__ import annotations

@@ -22,10 +22,9 @@ import numpy as np
 
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                    rekey, substream)
-from .cadlag import CadlagPath
-from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, SimConfig,
-                       _draw_jumps, _gaussian_walk, _integrand_values, _pareto_radii,
-                       batch_integral_functionals, simulate_integrand)
+from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, _draw_jumps,
+                       _gaussian_walk, _integrand_values, _pareto_radii, _power_mean,
+                       batch_integral_functionals)
 from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 
 BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -190,25 +189,16 @@ def tail_equivalence(model: LevyModel, integrand: IntegrandSpec, t: float,
 
 
 def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,
-                        t: float, u: float, n_mc: int, seed: int,
-                        grid_size: int = 4096) -> float:
-    """Limit-measure prediction sigma(+) * c * u**-alpha * integral of E(Y_s**alpha).
+                        t: float, u: float, grid_size: int = 4096) -> float:
+    """Limit-measure prediction c * u**-alpha * integral over [0, t] of
+    sum over the atoms (s, w) of w * E(Y_v * s)_+ ** alpha.
 
-    The inner expectation is Monte Carlo over ``n_mc`` exp-OU integrand
-    paths; a constant or deterministic integrand has one path, which is drawn
-    once.  The time integral over [0, t] is composite trapezoid quadrature on
-    the simulation grid, so ``t`` must be a multiple of 1/grid_size.  The
-    mass at level 1 is scaled by u**-alpha, so every level shares the same
-    draws.  For a one-dimensional model.
+    The inner expectation is closed form (``_power_mean``) and the time
+    integral trapezoid quadrature on the uniform grid of ``grid_size`` steps,
+    which ``t`` must be a point of.  For a one-dimensional model.
     """
-    def sampler(rng: np.random.Generator) -> CadlagPath:
-        # stream keys take indices below 2**61; the reduction keeps the keys
-        # that the indices drawn from [0, 2**62) always mapped to
-        rep = int(rng.integers(0, 2 ** 62)) % 2 ** 61
-        return simulate_integrand(integrand, SimConfig(grid_size, seed, rep))
-
-    draws = n_mc if isinstance(integrand, ExpOUIntegrand) else min(n_mc, 1)
-    return weighted_one_step_mass(measure, sampler, t, draws, seed) * u ** -measure.alpha
+    profile = lambda grid: _power_mean(integrand, measure.alpha, grid)
+    return weighted_one_step_mass(measure, profile, t, grid_size) * u ** -measure.alpha
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
 from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
-                       LevyModel, SimConfig, _pareto_radii, batch_integral_functionals,
-                       one_jump_integral, simulate_integrand, simulate_levy_path,
-                       stochastic_integral)
-from .regvar import RegVarMeasure
+                       LevyModel, SimConfig, _pareto_radii, _power_mean,
+                       batch_integral_functionals, one_jump_integral, simulate_integrand,
+                       simulate_levy_path, stochastic_integral)
+from .regvar import RegVarMeasure, _grid_index, _weighted_inner_profile
 
 
 class ValidationError(ValueError):
@@ -162,9 +162,22 @@ def _relations(schema: dict, v: dict) -> list[str]:
             errors.append(f"{v['kind']} experiments support one-dimensional models only")
         t, gs = v.get("t"), v.get("grid_size")
         if t is not None and gs is not None:
-            k = round(t * gs)
-            if k < 1 or abs(k / gs - t) > 1e-12:
-                errors.append("t must be a multiple of 1/grid_size")
+            try:
+                _grid_index(t, gs)
+            except ValueError as exc:
+                errors.append(str(exc))
+        levels = v.get("levels")
+        if v["kind"] == "tails" and not errors and None not in (model, integrand, t, levels):
+            # the prediction, largest at the lowest level, integrates g over
+            # [0, t]; g is monotone, so it peaks at 0 or t, and the trapezoid
+            # rule adds two neighbouring values: twice that peak must be finite
+            measure = model.induced_measure()
+            with np.errstate(over="ignore"):
+                g = _weighted_inner_profile(measure, _power_mean(integrand, measure.alpha,
+                                                                 np.array([0.0, t])))
+                peak = 2.0 * g.max() * max(1.0, np.float64(levels[0]) ** -measure.alpha)
+            if not np.isfinite(peak):
+                errors.append(f"the limit prediction at level {levels[0]} overflows")
     return errors
 
 
@@ -295,8 +308,7 @@ def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
                                              threads=threads, running_sup=False)
     measure = spec.model.induced_measure()
     # the limit measure is homogeneous: one prediction at level 1 serves all
-    mass = analytic_prediction(measure, spec.integrand, spec.t, 1.0, spec.n_mc_inner,
-                               spec.seed, spec.grid_size)
+    mass = analytic_prediction(measure, spec.integrand, spec.t, 1.0, spec.grid_size)
     rows = []
     for u in spec.levels:
         pred = mass * float(u) ** -measure.alpha

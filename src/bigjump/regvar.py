@@ -11,11 +11,11 @@ On path space the induced limit measure lives on single-step paths
 ``y * 1_[v,1]`` with uniform step time ``v`` and step size distributed like the
 d-space measure.  :func:`weighted_one_step_mass` evaluates, for a
 one-dimensional measure, the mass of {x_t > 1} under its integrand-weighted
-variant (steps scaled by an independent path Y sampled at the step time) by
-Monte Carlo over Y, with the step time integrated out by quadrature, so all
-sampling variance comes from Y alone.  The measure is homogeneous of order
--alpha, so the mass of {x_t > u} is that mass times u**-alpha: one Monte
-Carlo run serves every level.
+variant (steps scaled by an independent path Y sampled at the step time) from
+the closed-form inner expectation E(Y_v theta)_+**alpha, with the step time
+integrated out by quadrature, so it has no sampling variance.  The measure is
+homogeneous of order -alpha, so the mass of {x_t > u} is that mass times
+u**-alpha: one evaluation serves every level.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from ._rng import AUX_STREAM, chunks, substream
 
 DirectionPredicate = Callable[[np.ndarray], bool]
 
@@ -122,44 +120,31 @@ def _weighted_inner_profile(measure: RegVarMeasure, y: np.ndarray) -> np.ndarray
     return g
 
 
-def _grid_index(grid: np.ndarray, t: float) -> int:
-    """Index k with grid[k] == t (to 1e-12), t in (0, 1]."""
-    k = int(np.abs(grid - t).argmin())
-    if not 0 < t <= 1 or k == 0 or abs(grid[k] - t) > 1e-12:
-        raise ValueError(f"t must be a grid time in (0, 1], got {t}")
+def _grid_index(t: float, grid_size: int) -> int:
+    """The index k with k / grid_size == t (to 1e-12), for t in (0, 1]."""
+    k = round(t * grid_size) if 0 < t <= 1 else 0
+    if k < 1 or abs(k / grid_size - t) > 1e-12:
+        raise ValueError(f"t must be a grid time k/grid_size in (0, 1], got {t}")
     return k
 
 
 def weighted_one_step_mass(measure: RegVarMeasure,
-                           integrand_sampler: Callable[[np.random.Generator], object],
-                           t: float, n_mc: int, seed: int) -> float:
+                           profile: Callable[[np.ndarray], np.ndarray],
+                           t: float, grid_size: int) -> float:
     """Mass of {x : x_t > 1} under the integrand-weighted one-step limit
     measure of a one-dimensional ``measure``.
 
-    One-step paths are scaled by an independent integrand path evaluated at
-    the (uniform) step time.  ``integrand_sampler(rng)`` must return an
-    object with ``grid`` (m,) and ``values`` (m,) or (m, 1) arrays, sampled
-    on [0, 1], and ``t`` must be a point of that grid.  Every draw's inner
-    mass is closed form and the step time is integrated out by trapezoid
-    quadrature on the draw's grid, so the Monte Carlo variance comes from the
-    integrand alone.  The result is the sum over the ``n_mc`` draws divided
-    by ``n_mc``; each chunk of 256 draws reads its own sub-stream, so it is
-    reproducible.  By homogeneity the mass of {x_t > u} is this times
+    One-step paths are scaled by an independent integrand Y at the uniform
+    step time v.  ``profile(grid)`` gets the uniform grid of ``grid_size``
+    steps on [0, 1] and returns y (m,) with (y_v * s)_+ ** alpha equal to
+    E(Y_v * s)_+ ** alpha for every direction s of ``measure``; ``t`` must be
+    a point of that grid, over which the step time is integrated out by
+    trapezoid quadrature.  By homogeneity the mass of {x_t > u} is this times
     u**-alpha.
     """
     if measure.dimension != 1:
         raise ValueError("the mass of {x_t > 1} needs a one-dimensional measure")
-
-    def run_chunk(i: int, start: int, stop: int) -> float:
-        rng = substream(seed, start, AUX_STREAM)
-        total = 0.0
-        for _ in range(stop - start):
-            path = integrand_sampler(rng)
-            grid = np.asarray(path.grid, dtype=float)
-            k = _grid_index(grid, t)
-            y = np.asarray(path.values, dtype=float).reshape(grid.shape)
-            total += float(np.trapezoid(_weighted_inner_profile(measure, y[: k + 1]),
-                                        grid[: k + 1]))
-        return total
-
-    return sum(chunks(n_mc, 256, run_chunk)) / n_mc
+    k = _grid_index(t, grid_size)
+    grid = np.linspace(0.0, 1.0, grid_size + 1)
+    y = profile(grid)
+    return float(np.trapezoid(_weighted_inner_profile(measure, y[: k + 1]), grid[: k + 1]))

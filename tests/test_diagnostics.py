@@ -1,19 +1,21 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bigjump import diagnostics, levy_sim
+from bigjump import diagnostics, levy_sim, regvar
 from bigjump.cadlag import j1_within, one_step_approx, sup_norm, uniform_distance
 from bigjump.diagnostics import (TailEstimate, analytic_prediction, breiman_ratio,
                                  double_jump_trend, hill, maximal_product_bound,
                                  one_big_jump_curve, tail_equivalence)
 from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
-                              ExpOUIntegrand, LevyModel, SimConfig,
+                              ExpOUIntegrand, LevyModel, SimConfig, _power_mean,
                               assemble_levy_path, one_jump_integral,
                               simulate_big_jumps, simulate_integrand,
                               simulate_small_part, stochastic_integral)
+from bigjump.experiments import parse, run, validate
 from bigjump.regvar import RegVarMeasure, weighted_one_step_mass
 
 
@@ -382,56 +384,79 @@ class TestTwoPhaseScreening:
 class TestAnalyticPrediction:
     def test_unit_integrand(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
-        v = analytic_prediction(m, ConstantIntegrand([1.0]), 1.0, 10.0, 16, seed=1,
-                                grid_size=64)
+        v = analytic_prediction(m, ConstantIntegrand([1.0]), 1.0, 10.0, grid_size=64)
         assert v == pytest.approx(10.0 ** -1.5, rel=1e-12)
 
     def test_half_horizon(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
-        v = analytic_prediction(m, ConstantIntegrand([1.0]), 0.5, 10.0, 16, seed=1,
-                                grid_size=64)
+        v = analytic_prediction(m, ConstantIntegrand([1.0]), 0.5, 10.0, grid_size=64)
         assert v == pytest.approx(0.5 * 10.0 ** -1.5, rel=1e-12)
 
     def test_exponential_integrand(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
-        v = analytic_prediction(m, DeterministicIntegrand(1.0, -1.0),
-                                1.0, 10.0, 8, seed=1, grid_size=4096)
+        v = analytic_prediction(m, DeterministicIntegrand(1.0, -1.0), 1.0, 10.0,
+                                grid_size=4096)
         assert v == pytest.approx(0.016377854262808043, abs=1e-8)
-
 
     @pytest.mark.parametrize("n_mc", [0, 1, 257, 2048])
     @pytest.mark.parametrize("integrand", [
-        pytest.param(ConstantIntegrand([0.7]), id="constant"),
-        pytest.param(DeterministicIntegrand(1.0, -1.0), id="deterministic"),
-        pytest.param(ExpOUIntegrand(2.0, 0.3, 1.0), id="exp-ou"),
+        pytest.param({"variant": "constant", "value": [0.7]}, id="constant"),
+        pytest.param({"variant": "deterministic", "form": "exp", "scale": 1.0, "rate": -1.0},
+                     id="deterministic"),
+        pytest.param({"variant": "exp_ou", "rate": 2.0, "vol": 0.3, "initial": 1.0},
+                     id="exp-ou"),
     ])
-    def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc):
-        # the prediction at u is the weighted mass of {x_t > 1} times
-        # u**-alpha; exp-OU takes n_mc draws, a constant or deterministic
-        # integrand one, whose mass n_mc equal draws give up to rounding; no
-        # draws is rejected by both
-        m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
-        sampler = lambda rng: simulate_integrand(
-            integrand, SimConfig(64, 3, int(rng.integers(0, 2 ** 62)) % 2 ** 61))
-        predict = lambda: analytic_prediction(m, integrand, 0.75, 4.0, n_mc, seed=3,
-                                              grid_size=64)
+    def test_equals_weighted_mass_of_n_mc_draws(self, integrand, n_mc, tmp_path):
+        # a tails run writes the weighted mass of {x_t > 1} of the power-mean
+        # path times u**-alpha, whatever count of integrand draws n_mc_inner
+        # asks for: parse range-checks the key and the prediction ignores it
+        cfg = {"kind": "tails", "seed": 3, "n": 100, "t": 0.75, "levels": [4.0],
+               "grid_size": 64, "n_mc_inner": n_mc, "integrand": integrand,
+               "model": {"dimension": 1, "big_jump_intensity": 2.0, "radial_alpha": 1.5,
+                         "spectral": [{"dir": [1.0], "w": 0.6}, {"dir": [-1.0], "w": 0.4}]},
+               "format": "json"}
         if n_mc == 0:
-            for call in (lambda: weighted_one_step_mass(m, sampler, 0.75, 0, seed=3),
-                         predict):
-                with pytest.raises(ValueError):
-                    call()
+            assert validate(cfg) == ["n_mc_inner must be an integer in [1, 2**63)"]
             return
-        full = weighted_one_step_mass(m, sampler, 0.75, n_mc, seed=3)
-        draws = n_mc if isinstance(integrand, ExpOUIntegrand) else 1
-        mass = weighted_one_step_mass(m, sampler, 0.75, draws, seed=3)
-        assert full == pytest.approx(mass, rel=1e-13)
-        assert predict() == mass * 4.0 ** -1.5
+        run(cfg, out_dir=tmp_path)
+        spec = parse(cfg)
+        mass = weighted_one_step_mass(spec.model.induced_measure(),
+                                      lambda grid: _power_mean(spec.integrand, 1.5, grid),
+                                      0.75, 64)
+        [row] = json.loads((tmp_path / "tails.json").read_text())["rows"]
+        assert row[1] == mass * 4.0 ** -1.5
+
+    @pytest.mark.parametrize("rate, vol, initial, t", [
+        (0.0, 0.5, 1.0, 1.0), (2.0, 0.3, 1.0, 0.75), (1.0, 1.0, 0.5, 0.5), (5.0, 0.8, 2.0, 1.0),
+    ])
+    def test_exp_ou_closed_form_matches_monte_carlo(self, rate, vol, initial, t):
+        # the closed-form prediction against the mean weighted mass of 2e5
+        # simulated integrand paths on the same grid, within 3 standard errors
+        m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
+        spec = ExpOUIntegrand(rate, vol, initial)
+        grid = np.linspace(0.0, 1.0, 65)
+        k = round(t * 64)
+        rng = np.random.default_rng(2024)
+        masses = []
+        for _ in range(4):
+            y = levy_sim._integrand_values(spec, grid, rng.standard_normal((50000, 64)))
+            g = regvar._weighted_inner_profile(m, y[:, : k + 1, 0])
+            masses.append(np.trapezoid(g, grid[: k + 1], axis=1))
+        masses = np.concatenate(masses)
+        stderr = masses.std(ddof=1) / math.sqrt(len(masses))
+        assert abs(analytic_prediction(m, spec, t, 1.0, 64) - masses.mean()) <= 3 * stderr
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    def test_exp_ou_without_vol_predicts_its_constant(self, rate):
+        m = RegVarMeasure(1.5, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
+        for t, grid_size in ((0.75, 64), (1.0, 512), (0.5, 4096)):
+            assert analytic_prediction(m, ExpOUIntegrand(rate, 0.0, 1.7), t, 3.0, grid_size) \
+                == analytic_prediction(m, ConstantIntegrand([1.7]), t, 3.0, grid_size)
 
     def test_rejects_t_off_the_grid(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
         with pytest.raises(ValueError, match="grid time"):
-            analytic_prediction(m, ConstantIntegrand([1.0]), 0.3, 10.0, 16, seed=1,
-                                grid_size=64)
+            analytic_prediction(m, ConstantIntegrand([1.0]), 0.3, 10.0, grid_size=64)
 
 
 class TestMaximalProductBound:

@@ -116,6 +116,17 @@ BAD_CONFIGS = [
         {"dir": [1.0], "w": 0.5}, {"dir": [0.0, 1.0], "w": 0.5}])),
                  id="directions-of-two-dimensions"),
     pytest.param(tails_config(integrand=dict(UNIT_Y, value=[[1.0]])), id="constant-value-nested"),
+    # the samplers hold every jump in memory: 1e15 would ask for 7 PiB
+    pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=1e15)),
+                 id="intensity-1e15"),
+    pytest.param(tails_config(model=dict(MODEL, big_jump_intensity=1001)),
+                 id="intensity-above-cap"),
+    # predictions beyond float range: E Y**10 = exp(800) at vol 4, and
+    # u**-alpha at a tiny level
+    pytest.param(tails_config(model=dict(MODEL, radial_alpha=10.0),
+                              integrand=dict(EXP_OU, rate=0.0, vol=4.0)),
+                 id="prediction-overflow"),
+    pytest.param(tails_config(levels=[1e-300]), id="prediction-overflow-at-level"),
 ]
 
 
@@ -169,8 +180,12 @@ class TestValidate:
         errors = validate(tails_config(integrand=exp_y))
         assert len(errors) == 1 and "overflows on [0, 1]" in errors[0]
         # the same rate with a smaller scale stays finite, and so does any
-        # decaying rate
-        assert validate(tails_config(integrand=dict(exp_y, scale=1.0))) == []
+        # decaying rate; tails still rejects the first, since its prediction
+        # raises exp(709) to the power alpha = 1.5
+        assert validate(tails_config(kind="tail-equivalence",
+                                     integrand=dict(exp_y, scale=1.0))) == []
+        assert validate(tails_config(integrand=dict(exp_y, scale=1.0))) == [
+            "the limit prediction at level 5.0 overflows"]
         assert validate(tails_config(integrand=dict(exp_y, rate=-800.0))) == []
 
     def test_exp_ou_just_inside_the_rate_bound_writes_finite_values(self, tmp_path):
@@ -247,7 +262,7 @@ class TestRun:
         spec = parse(cfg)
         measure = spec.model.induced_measure()
         predict = lambda u: diagnostics.analytic_prediction(measure, spec.integrand, 0.75,
-                                                            u, 32, 42, 64)
+                                                            u, 64)
         at_one = predict(1.0)
         for u, analytic, *_, ratio in rows:
             assert analytic == predict(u) == at_one * u ** -measure.alpha

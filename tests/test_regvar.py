@@ -1,11 +1,9 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
-                              ExpOUIntegrand, SimConfig, simulate_integrand)
+from bigjump.levy_sim import ConstantIntegrand, DeterministicIntegrand, _power_mean
 from bigjump.regvar import RegVarMeasure, ScalingSequence, mu_tail, weighted_one_step_mass
 
 POS = lambda s: s[0] > 0
@@ -87,17 +85,16 @@ class TestScaling:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def _const_sampler(value, grid_size=64):
-    cfg = SimConfig(grid_size=grid_size, seed=1)
-    return lambda rng: simulate_integrand(ConstantIntegrand(value), cfg)
+def _profile(spec, alpha=1.5):
+    return lambda grid: _power_mean(spec, alpha, grid)
 
 
 class TestWeightedOneStepMass:
     def test_unit_integrand_reproduces_unweighted(self):
-        # zero-variance case: Y == 1 gives t times the mass of {x > 1}
+        # Y == 1 gives t times the mass of {x > 1}
         m = two_sided(w_pos=0.3)
         for t in (1.0, 0.75, 0.5, 1 / 64):
-            mass = weighted_one_step_mass(m, _const_sampler([1.0]), t, 40, seed=3)
+            mass = weighted_one_step_mass(m, _profile(ConstantIntegrand([1.0])), t, 64)
             assert mass == pytest.approx(t * mu_tail(m, 1.0, POS), rel=1e-13)
 
     def test_constant_scales_power_law(self):
@@ -105,51 +102,41 @@ class TestWeightedOneStepMass:
         for y0, m, want in ((3.0, one_sided(), 3.0 ** 1.5),
                             (-3.0, one_sided(), 0.0),
                             (-3.0, two_sided(w_pos=0.3), 0.7 * 3.0 ** 1.5)):
-            mass = weighted_one_step_mass(m, _const_sampler([y0]), 1.0, 20, seed=3)
+            mass = weighted_one_step_mass(m, _profile(ConstantIntegrand([y0])), 1.0, 64)
             assert mass == pytest.approx(want, rel=1e-13)
 
     def test_sign_changing_integrand(self):
         # y_v = 1 - 2v: the positive atom counts on [0, 1/2), the negative one
         # on (1/2, 1], each with integral 1/4 of |1 - 2v| at alpha = 1
-        grid = np.linspace(0.0, 1.0, 65)
-        path = SimpleNamespace(grid=grid, values=(1.0 - 2.0 * grid)[:, None])
         m = RegVarMeasure(1.0, 2.0, [([1.0], 0.6), ([-1.0], 0.4)])
-        mass = weighted_one_step_mass(m, lambda rng: path, 1.0, 1, seed=1)
+        profile = lambda grid: 1.0 - 2.0 * grid
+        mass = weighted_one_step_mass(m, profile, 1.0, 64)
         assert mass == pytest.approx(2.0 * (0.6 + 0.4) / 4, rel=1e-14)
-        assert weighted_one_step_mass(m, lambda rng: path, 0.5, 1, seed=1) == \
+        assert weighted_one_step_mass(m, profile, 0.5, 64) == \
             pytest.approx(2.0 * 0.6 / 4, rel=1e-14)
 
     def test_exponential_integrand_endpoint(self):
         # frozen from the analytic integral of exp(-alpha s) over [0, 1], at
         # level 10 (homogeneity: the mass at u is u**-alpha times that at 1)
-        m = one_sided()
-        cfg = SimConfig(grid_size=4096, seed=1)
-        sampler = lambda rng: simulate_integrand(
-            DeterministicIntegrand(1.0, -1.0), cfg)
-        mass = weighted_one_step_mass(m, sampler, 1.0, 4, seed=5)
+        mass = weighted_one_step_mass(one_sided(), _profile(DeterministicIntegrand(1.0, -1.0)),
+                                      1.0, 4096)
         assert mass * 10.0 ** -1.5 == pytest.approx(0.016377854262808043, abs=1e-8)
 
-    def test_seed_determinism(self):
-        m = one_sided()
-        spec = ExpOUIntegrand(rate=1.0, vol=0.6, initial=1.0)
+    def test_profile_is_called_once_on_the_grid(self):
+        seen = []
 
-        def sampler(rng):
-            return simulate_integrand(spec, SimConfig(64, 9, int(rng.integers(2 ** 62)) % 2 ** 61))
-
-        a = weighted_one_step_mass(m, sampler, 1.0, 300, seed=17)
-        assert a == weighted_one_step_mass(m, sampler, 1.0, 300, seed=17)
-        assert a != weighted_one_step_mass(m, sampler, 1.0, 300, seed=18)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            weighted_one_step_mass(two_sided(), _const_sampler([1.0]), 1.0, 0, seed=1)
+        def profile(grid):
+            seen.append(grid)
+            return np.ones_like(grid)
+        weighted_one_step_mass(one_sided(), profile, 0.5, 8)
+        assert len(seen) == 1 and np.array_equal(seen[0], np.linspace(0.0, 1.0, 9))
 
     @pytest.mark.parametrize("t", [0.7, 0.3, 0.0, -0.5, 1.5])
     def test_rejects_t_off_the_grid(self, t):
         with pytest.raises(ValueError, match="grid time"):
-            weighted_one_step_mass(two_sided(), _const_sampler([1.0]), t, 1, seed=1)
+            weighted_one_step_mass(two_sided(), _profile(ConstantIntegrand([1.0])), t, 64)
 
     def test_rejects_multidimensional_measure(self):
         m = RegVarMeasure(1.5, 1.0, [([1.0, 0.0], 1.0)])
         with pytest.raises(ValueError, match="one-dimensional"):
-            weighted_one_step_mass(m, _const_sampler([1.0, 1.0]), 1.0, 1, seed=1)
+            weighted_one_step_mass(m, _profile(ConstantIntegrand([1.0, 1.0])), 1.0, 64)
