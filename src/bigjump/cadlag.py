@@ -19,11 +19,10 @@ The program fills the anchor pairs row by row.  All affine stretches into a
 row are costed in one batched numpy pass: each reachable source gathers only
 the grid points inside its stretch, warped with the same floating-point
 expressions a single stretch uses, so every cost is exact.  Sweep costs come
-from tables built once per call.  The program is not pruned: ``j1_distance``
-is its exact minimum over the chain family, and ``j1_within`` compares that
-minimum with a threshold.  They serve general pairs and criterion 8; the
-one-big-jump estimator compares with a single step, which
-``diagnostics._exceeds`` decides in closed form.
+from tables built once per call.  The program serves ``j1_distance`` (its
+exact minimum over the chain family), ``j1_within``, criterion 8 and the
+tests; the one-big-jump estimator decides its comparison with a single step
+in closed form (``diagnostics._exceeds``).
 """
 
 from __future__ import annotations
@@ -201,7 +200,6 @@ def uniform_distance(x: CadlagPath, y: CadlagPath) -> float:
 # The J1 distance
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
 def _dyadic_points(count: int) -> np.ndarray:
     """First ``count`` points of the dyadic enumeration 1/2, 1/4, 3/4, 1/8, ..."""
     pts: list[float] = []
@@ -209,9 +207,7 @@ def _dyadic_points(count: int) -> np.ndarray:
     while len(pts) < count:
         pts.extend(k / level for k in range(1, level, 2))
         level *= 2
-    out = np.array(pts[:count], dtype=float)
-    out.flags.writeable = False
-    return out
+    return np.array(pts[:count], dtype=float)
 
 
 # Most grid points gathered into one batch of the dynamic program; a single
@@ -219,27 +215,10 @@ def _dyadic_points(count: int) -> np.ndarray:
 _BATCH_POINTS = 1 << 14
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, rounded as ``np.linalg.norm(a, axis=-1)``
-    rounds it.
-
-    numpy adds fewer than eight squares in order, so short vectors take an
-    explicit running sum, which is far faster than a reduction along a short
-    axis.
-    """
-    sq = a * a
-    if sq.shape[-1] >= 8:
-        return np.sqrt(np.add.reduce(sq, axis=-1))
-    total = sq[..., 0].copy()
-    for k in range(1, sq.shape[-1]):
-        total += sq[..., k]
-    return np.sqrt(total)
-
-
 def _dot_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis, rounded as ``np.linalg.norm`` rounds
-    a single vector (a BLAS dot product, which may differ from ``_norm`` in
-    the last bit)."""
+    a single vector (a BLAS dot product, which may differ from
+    ``np.linalg.norm(a, axis=-1)`` in the last bit)."""
     return np.sqrt(np.vecdot(a, a))
 
 
@@ -279,7 +258,8 @@ def _sweep_table(fixed: np.ndarray, path: CadlagPath, anchors: np.ndarray,
     rows = max(1, _BATCH_POINTS // len(inner))
     for k in range(0, len(fixed), rows):
         f = fixed[k:k + rows, None, :]
-        c = np.maximum(_norm(pl[None] - f), _norm(pv[None] - f))
+        c = np.maximum(np.linalg.norm(pl[None] - f, axis=-1),
+                       np.linalg.norm(pv[None] - f, axis=-1))
         ends[k:k + rows, cols] = np.maximum(ends[k:k + rows, cols],
                                             np.maximum.reduceat(c, runs, axis=1))
     return ends
@@ -310,19 +290,23 @@ def _stretch_costs(x: CadlagPath, y: CadlagPath, anchors: np.ndarray,
         idx = _ragged_arange(xlo[i0[s]], n)
         yl, yr = y._sides_at(np.repeat(q0[s], n)
                              + (x.grid[idx] - np.repeat(p0[s], n)) * np.repeat(slope[s], n))
-        cost = _segment_max(np.maximum(_norm(x._left[idx] - yl), _norm(x.values[idx] - yr)), n)
+        cost = _segment_max(np.maximum(np.linalg.norm(x._left[idx] - yl, axis=-1),
+                                       np.linalg.norm(x.values[idx] - yr, axis=-1)), n)
         n = ny[a:b]
         idx = _ragged_arange(ylo[j0[s]], n)
         xl, xr = x._sides_at(np.repeat(p0[s], n)
                              + (y.grid[idx] - np.repeat(q0[s], n)) / np.repeat(slope[s], n))
         out[s] = np.maximum(cost, _segment_max(
-            np.maximum(_norm(xl - y._left[idx]), _norm(xr - y.values[idx])), n))
+            np.maximum(np.linalg.norm(xl - y._left[idx], axis=-1),
+                       np.linalg.norm(xr - y.values[idx], axis=-1)), n))
         a = b
     return out
 
 
-def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int) -> float:
-    """Minimal max(time distortion, warped sup distance) over the chain family.
+def j1_distance(x: CadlagPath, y: CadlagPath, refinement: int = 8) -> float:
+    """Approximate J1 distance: exact on step-function pairs, else an upper
+    bound never exceeding the uniform distance; the exact minimum of
+    max(time distortion, warped sup distance) over the chain family.
 
     Chains of matched time pairs over the anchor set (endpoints, both jump
     sets, dyadic refinement points), each anchor pair carrying a left/right
@@ -337,16 +321,18 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int) -> float:
     below what the target already holds.  A scalar pass along the row then
     adds the diagonal crossings and the sweeps, whose costs come from four
     tables (``_sweep_table``) built once per call.  Unreachable entries stay
-    inf and are skipped.  The value is exact for the chain family.
+    inf and are skipped.
     """
+    if x.dimension != y.dimension:
+        raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
     anchors = np.unique(np.concatenate([
         np.array([0.0, 1.0]), x.jump_times, y.jump_times, _dyadic_points(refinement)]))
     K = len(anchors)
     XL, XR = x._sides_at(anchors)
     YL, YR = y._sides_at(anchors)
     tdist = np.abs(anchors[None, :] - anchors[:, None])  # tdist[i, j] = |q_j - p_i|
-    nodeL = np.maximum(tdist, _norm(XL[:, None, :] - YL[None, :, :]))
-    nodeR = np.maximum(tdist, _norm(XR[:, None, :] - YR[None, :, :]))
+    nodeL = np.maximum(tdist, np.linalg.norm(XL[:, None, :] - YL[None, :, :], axis=-1))
+    nodeR = np.maximum(tdist, np.linalg.norm(XR[:, None, :] - YR[None, :, :], axis=-1))
     inf = float("inf")
 
     # the grid points strictly between anchors k < l are [lo[k], hi[l])
@@ -409,16 +395,7 @@ def _j1_dp(x: CadlagPath, y: CadlagPath, refinement: int) -> float:
     return fR[K - 1][K - 1]
 
 
-def j1_distance(x: CadlagPath, y: CadlagPath, refinement: int = 8) -> float:
-    """Approximate J1 distance: exact on step-function pairs, else an upper
-    bound never exceeding the uniform distance.  The value is the exact
-    minimum over the chain family."""
-    if x.dimension != y.dimension:
-        raise ValueError(f"dimension mismatch: {x.dimension} vs {y.dimension}")
-    return _j1_dp(x, y, refinement)
-
-
 def j1_within(x: CadlagPath, y: CadlagPath, eps: float, refinement: int = 8) -> bool:
-    """Whether the (approximate) J1 distance is at most ``eps``: the whole,
-    unpruned program, ``j1_distance(x, y, refinement) <= eps``."""
+    """Whether the (approximate) J1 distance is at most ``eps``:
+    ``j1_distance(x, y, refinement) <= eps``."""
     return j1_distance(x, y, refinement) <= eps

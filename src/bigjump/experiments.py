@@ -26,15 +26,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import (RatioEstimate, TailEstimate, analytic_prediction,
+from .diagnostics import (_MAX_LAM, RatioEstimate, TailEstimate, analytic_prediction,
                           breiman_ratio, double_jump_trend,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
-from .levy_sim import (ConstantIntegrand, DeterministicIntegrand, ExpOUIntegrand,
-                       LevyModel, SimConfig, _pareto_radii, _power_mean,
+from .levy_sim import (_MAX_GRID_SIZE, ConstantIntegrand, DeterministicIntegrand,
+                       ExpOUIntegrand, LevyModel, SimConfig, _pareto_radii,
                        batch_integral_functionals, one_jump_integral, simulate_integrand,
                        simulate_levy_path, stochastic_integral)
-from .regvar import RegVarMeasure, _grid_index, _weighted_inner_profile
+from .regvar import RegVarMeasure, _grid_index
 
 
 class ValidationError(ValueError):
@@ -119,7 +119,9 @@ _READERS: dict[str, Callable] = {
     "kind": lambda v: v,  # parse checks it before choosing the schema
     "seed": _reader(_is_int, "must be an integer in [-2**63, 2**63)"),
     "format": _reader(lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
-    "grid_size": _count(2), "n": _count(1), "n_mc_inner": _count(1),
+    "grid_size": _reader(lambda v: _is_int(v) and 2 <= v <= _MAX_GRID_SIZE,
+                         f"must be an integer in [2, {_MAX_GRID_SIZE}]"),
+    "n": _count(1), "n_mc_inner": _count(1),
     "refinement": _count(0), "n_paths": _count(1), "epsilon": _POSITIVE,
     "t": _real(lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     # kept as given: tails and breiman write each level verbatim
@@ -127,7 +129,8 @@ _READERS: dict[str, Callable] = {
                       and all(_is_real(u) and u > 0 for u in v)
                       and all(a < b for a, b in zip(v, v[1:])),
                       "must be a nonempty strictly increasing list of positive numbers", tuple),
-    "alpha": _POSITIVE, "lam": _POSITIVE,
+    "alpha": _POSITIVE,
+    "lam": _real(lambda v: 0 < v <= _MAX_LAM, f"must lie in (0, {_MAX_LAM:g}]"),
     "beta": _real(lambda v: 0.5 < v < 1, "must lie in (1/2, 1)"), "x_level": _POSITIVE,
     "n_values": _reader(lambda v: isinstance(v, list) and v
                         and all(_is_int(k) and k >= 1 for k in v),
@@ -167,16 +170,13 @@ def _relations(schema: dict, v: dict) -> list[str]:
             except ValueError as exc:
                 errors.append(str(exc))
         levels = v.get("levels")
-        if v["kind"] == "tails" and not errors and None not in (model, integrand, t, levels):
-            # the prediction, largest at the lowest level, integrates g over
-            # [0, t]; g is monotone, so it peaks at 0 or t, and the trapezoid
-            # rule adds two neighbouring values: twice that peak must be finite
+        if v["kind"] == "tails" and not errors and None not in (model, integrand, t, gs, levels):
+            # the prediction _run_tails writes at the lowest level, its largest
             measure = model.induced_measure()
             with np.errstate(over="ignore"):
-                g = _weighted_inner_profile(measure, _power_mean(integrand, measure.alpha,
-                                                                 np.array([0.0, t])))
-                peak = 2.0 * g.max() * max(1.0, np.float64(levels[0]) ** -measure.alpha)
-            if not np.isfinite(peak):
+                pred = (analytic_prediction(measure, integrand, t, 1.0, gs)
+                        * np.float64(levels[0]) ** -measure.alpha)
+            if not np.isfinite(pred):
                 errors.append(f"the limit prediction at level {levels[0]} overflows")
     return errors
 

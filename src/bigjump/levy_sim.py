@@ -36,6 +36,9 @@ from .regvar import RegVarMeasure, _grid_index
 # Every sampler holds all of a replicate's jumps in memory: at this rate, n = 8192
 # and grid 512 (exp-OU), tails peaks at 0.78 GB and tail-equivalence at 1.45 GB.
 _MAX_INTENSITY = 1e3
+# The samplers hold grid_size + 1 values per replicate of a batch: at this grid, n = 8192
+# and exp-OU, tails and tail-equivalence peak at 0.83 GB (intensity 1), 1.48 and 2.17 GB at 1e3.
+_MAX_GRID_SIZE = 4096
 
 
 @dataclass(frozen=True)

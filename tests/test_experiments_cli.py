@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bigjump import cli, diagnostics, levy_sim
@@ -50,6 +51,25 @@ def breiman_config(**over):
     return cfg
 
 
+PATHS = {"kind": "paths", "seed": 7, "n_paths": 1, "grid_size": 32,
+         "model": MODEL, "integrand": UNIT_Y}
+
+# (config, its one error, id): sizes whose arrays would not fit in memory
+CAPPED_CONFIGS = [
+    *((cfg, "grid_size must be an integer in [2, 4096]", f"{cfg['kind']}-grid-{size}")
+      for size in (4097, 2 ** 40)
+      for cfg in (tails_config(grid_size=size), obj_config(grid_size=size),
+                  dict(PATHS, grid_size=size))),
+    (lemma_config(lam=101), "lemma_checks.lam must lie in (0, 100]", "lam-101"),
+    (lemma_config(lam=1e300), "lemma_checks.lam must lie in (0, 100]", "lam-1e300"),
+]
+
+# alpha 2, constant integrand 10, t = 1/512: the prediction at level 1 is
+# 100/512, and u**-alpha = 1e306 at u = 1e-153
+TINY_LEVEL = tails_config(n=200, t=1 / 512, grid_size=512, levels=[1e-153, 1.0],
+                          model=dict(MODEL, radial_alpha=2.0),
+                          integrand=dict(UNIT_Y, value=[10.0]), format="json")
+
 VALID_CONFIGS = [
     pytest.param(tails_config(n=200, levels=[5.0], n_mc_inner=8), id="tails"),
     pytest.param(breiman_config(), id="breiman"),
@@ -57,8 +77,8 @@ VALID_CONFIGS = [
     pytest.param(tails_config(kind="tail-equivalence", n=200, integrand=EXP_OU),
                  id="tail-equivalence"),
     pytest.param(lemma_config(reps=1000, n_trials=1000), id="lemma-checks"),
-    pytest.param({"kind": "paths", "seed": 7, "n_paths": 1, "grid_size": 32,
-                  "model": MODEL, "integrand": UNIT_Y}, id="paths"),
+    pytest.param(PATHS, id="paths"),
+    pytest.param(TINY_LEVEL, id="tails-tiny-level"),
 ]
 
 BAD_CONFIGS = [
@@ -127,6 +147,7 @@ BAD_CONFIGS = [
                               integrand=dict(EXP_OU, rate=0.0, vol=4.0)),
                  id="prediction-overflow"),
     pytest.param(tails_config(levels=[1e-300]), id="prediction-overflow-at-level"),
+    *(pytest.param(config, id=name) for config, _, name in CAPPED_CONFIGS),
 ]
 
 
@@ -150,6 +171,11 @@ class TestValidate:
          "lemma_checks.n_values must be a nonempty list of integers in [1, 2**63)"),
     ], ids=["seed-above", "seed-below", "count", "n-values"])
     def test_integer_messages_name_the_range(self, config, message):
+        assert validate(config) == [message]
+
+    @pytest.mark.parametrize("config, message",
+                             [pytest.param(c, m, id=name) for c, m, name in CAPPED_CONFIGS])
+    def test_caps_name_their_key(self, config, message):
         assert validate(config) == [message]
 
     @pytest.mark.parametrize("config", [
@@ -188,6 +214,36 @@ class TestValidate:
             "the limit prediction at level 5.0 overflows"]
         assert validate(tails_config(integrand=dict(exp_y, rate=-800.0))) == []
 
+    def test_tiny_level_writes_its_finite_prediction(self, tmp_path):
+        # a bound of twice the integrand's peak rejected this config, though
+        # the prediction written at u = 1e-153 is finite
+        run(TINY_LEVEL, out_dir=tmp_path)
+        rows = json.loads((tmp_path / "tails.json").read_text())["rows"]
+        assert repr(rows[0][1]) == "1.9531249999999996e+305"
+
+    @pytest.mark.parametrize("t, accepted", [(1 / 512, 5), (1.0, 4)])
+    def test_prediction_overflow_is_exactly_an_infinite_prediction(self, t, accepted,
+                                                                   tmp_path):
+        # at t = 1 the prediction at level 1 is 100, so level 1e-154 overflows
+        # in the product, not in u**-alpha
+        verdicts = []
+        for k in range(150, 157):
+            cfg = dict(TINY_LEVEL, t=t, levels=[10.0 ** -k])
+            spec = parse(dict(cfg, levels=[1.0]))
+            with np.errstate(over="ignore"):
+                pred = (diagnostics.analytic_prediction(spec.model.induced_measure(),
+                                                        spec.integrand, t, 1.0, 512)
+                        * np.float64(10.0 ** -k) ** -2.0)
+            errors = validate(cfg)
+            assert errors == ([] if np.isfinite(pred) else
+                              [f"the limit prediction at level {10.0 ** -k} overflows"])
+            if not errors:
+                run(cfg, out_dir=tmp_path / str(k))
+                rows = json.loads((tmp_path / str(k) / "tails.json").read_text())["rows"]
+                assert rows[0][1] == pred
+            verdicts.append(not errors)
+        assert verdicts == [True] * accepted + [False] * (7 - accepted)
+
     def test_exp_ou_just_inside_the_rate_bound_writes_finite_values(self, tmp_path):
         # rate 709 with vol 1.2 passes and vol 1.3 overflows exp(rate * t) in
         # _ou_exponent; past the bound the prediction was NaN and the sup
@@ -222,6 +278,7 @@ class TestValidate:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert cli.main(["validate", str(path)]) == 1
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "cli")]) == 1
         assert all(line.startswith("error: ")
                    for line in capsys.readouterr().err.splitlines())
 
