@@ -34,10 +34,12 @@ from .regvar import RegVarMeasure, _grid_index
 
 
 # Every sampler holds all of a replicate's jumps in memory: at this rate, n = 8192
-# and grid 512 (exp-OU), tails peaks at 0.78 GB and tail-equivalence at 1.45 GB.
+# and exp-OU with diffusion 0.5, tails peaks at 0.63 GB and tail-equivalence at
+# 1.22 GB, at grid 512 and at grid 4096 alike.
 _MAX_INTENSITY = 1e3
-# The samplers hold grid_size + 1 values per replicate of a batch: at this grid, n = 8192
-# and exp-OU, tails and tail-equivalence peak at 0.83 GB (intensity 1), 1.48 and 2.17 GB at 1e3.
+# The samplers hold grid_size + 1 values per replicate, the batch sampler per row of
+# a block: at this grid, n = 8192, intensity 1 and exp-OU with diffusion 0.5, tails
+# and tail-equivalence peak at 52 and 54 MB.
 _MAX_GRID_SIZE = 4096
 
 
@@ -88,6 +90,15 @@ class LevyModel:
         object.__setattr__(self, "spectral", measure.spectral)
         object.__setattr__(self, "diffusion", B)
         object.__setattr__(self, "drift", g)
+        # ``_jump_marks``' direction table: the atoms stacked, and the
+        # normalized cumulative weights that ``rng.choice`` searches
+        dirs = np.stack([s for s, _ in measure.spectral])
+        cdf = np.cumsum([w for _, w in measure.spectral])
+        cdf /= cdf[-1]
+        dirs.flags.writeable = False
+        cdf.flags.writeable = False
+        object.__setattr__(self, "_dirs", dirs)
+        object.__setattr__(self, "_cdf", cdf)
 
     def induced_measure(self) -> RegVarMeasure:
         """Limit measure of the jump law: intensity = jump rate, same spectrum."""
@@ -195,13 +206,12 @@ def _jump_marks(model: LevyModel, rng: np.random.Generator,
     picks its spectral direction; a one-atom measure draws no uniforms."""
     times = 1.0 - rng.random(shape)
     radii = _pareto_radii(rng, model.radial_alpha, shape)
-    dirs = np.stack([s for s, _ in model.spectral])
+    dirs = model._dirs
     if len(dirs) == 1:
         return times, radii[..., None] * dirs[0]
     # the draw of ``rng.choice(len(w), shape, p=w)``, without its checks of w
-    cdf = np.cumsum([w for _, w in model.spectral])
-    cdf /= cdf[-1]
-    return times, radii[..., None] * dirs[cdf.searchsorted(rng.random(shape), side="right")]
+    return times, radii[..., None] * dirs[model._cdf.searchsorted(rng.random(shape),
+                                                                  side="right")]
 
 
 def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -379,6 +389,8 @@ def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 # ---------------------------------------------------------------------------
 
 _BATCH = 8192
+# Elements per (rows x grid) array of one row block of a batch: 2 MB of floats
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
@@ -404,12 +416,21 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     stretches of J plus the stretch's largest continuous value (exact, since
     rounding x + J is monotone in x).  The cost grows with the batch size
     times its largest jump count, not times the grid size.
+
+    The integrand and the continuous part live on the grid only one block of
+    a batch's rows at a time, ``_BLOCK_ELEMENTS // (grid_size + 1)`` rows (at
+    least one), and each block keeps only per-replicate values.  The batch's
+    integrand and Gaussian streams are read on block after block, which takes
+    their normals in the order one (batch x grid) draw fills them, so the
+    block size changes no bit, and a batch's memory does not grow with the grid.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
     it = _grid_index(t, grid_size)
     has_cont = model.diffusion.any() or model.drift.any()
+    exp_ou = isinstance(integrand, ExpOUIntegrand)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
+    block = max(1, _BLOCK_ELEMENTS // (grid_size + 1))
     endpoints = np.empty(n)
     sups = np.empty(n) if running_sup else None
 
@@ -428,63 +449,80 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
         jt = np.take_along_axis(jt, order, axis=1)
         jz = np.take_along_axis(jz, order, axis=1)
 
-        # integrand on the grid and at the jump times; exp-OU at a jump time
-        # takes its last grid sample before the jump
-        if isinstance(integrand, ExpOUIntegrand):
-            y_grid = _integrand_values(integrand, grid, substream(
-                seed, batch_index, INTEGRAND_STREAM).standard_normal((b, grid_size)))[..., 0]
+        # A jump at tau counts on the grid from the first grid point >= tau
+        # on, its cell.  For the grid sup, the jump sum is constant from each
+        # cell's last jump up to the next cell with jumps; stretch 0 runs from
+        # time 0 with sum 0 (jump cells are >= 1, since jump times are > 0, so
+        # a row's stretch starts strictly increase)
+        cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
+        if running_sup:
+            last = np.hstack([cell[:, 1:] != cell[:, :-1], np.ones((b, 1), dtype=bool)])
+            stretch = np.hstack([np.ones((b, 1), dtype=bool), last & (cell <= it)])
+            stretch_wc = np.zeros((b, kmax + 1))
+            wc_at = 0.0
+            if has_cont:
+                # the grid step holding each jump, to interpolate between its ends
+                seg = np.clip((jt * grid_size).astype(int), 0, grid_size - 1)
+                frac = jt * grid_size - seg
+                wc_at = np.zeros((b, kmax))
+
+        # integrand at the jump times; exp-OU takes its last grid sample
+        # before the jump, read in the row blocks below
+        if exp_ou:
             pos = np.clip((jt * grid_size).astype(int), 0, grid_size)
-            y_jump = np.take_along_axis(y_grid, pos, axis=1)
+            y_jump = np.empty((b, kmax))
         else:
-            y_grid = np.broadcast_to(_integrand_values(integrand, grid)[:, 0],
-                                     (b, grid_size + 1))
+            y_line = _integrand_values(integrand, grid)[:, 0]
             y_jump = _integrand_values(integrand, np.where(mask, jt, 0.0))[..., 0]
+        # continuous part: left-endpoint sums wc of y against the Gaussian
+        # walk xc (identically 0 without diffusion and drift), at t, at its
+        # stretch maxima and interpolated at the jump times
+        wc_end = np.zeros(b) if has_cont else 0.0
+        if exp_ou or has_cont:
+            y_rng = substream(seed, batch_index, INTEGRAND_STREAM)
+            x_rng = substream(seed, batch_index, GAUSS_STREAM)
+            for lo in range(0, b, block):
+                blk = slice(lo, min(lo + block, b))
+                r = blk.stop - lo
+                if exp_ou:
+                    y_grid = _integrand_values(integrand, grid,
+                                               y_rng.standard_normal((r, grid_size)))[..., 0]
+                    y_jump[blk] = np.take_along_axis(y_grid, pos[blk], axis=1)
+                else:
+                    y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
+                if not has_cont:
+                    continue
+                # the normals are dropped once used and wc is summed in place, so
+                # a block holds few (rows x grid) arrays
+                xc = _gaussian_walk(model, x_rng.standard_normal((r, grid_size, 1)))[..., 0]
+                wc = np.zeros((r, grid_size + 1))
+                dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
+                dw *= y_grid[:, :-1]
+                np.cumsum(dw, axis=1, out=dw)
+                wc_end[blk] = wc[:, it]
+                if not running_sup:
+                    continue
+                brows = rows[:r]
+                starts = np.hstack([np.zeros((r, 1), dtype=int), cell[blk]]) + brows * (it + 1)
+                stretch_wc[blk][stretch[blk]] = np.maximum.reduceat(
+                    wc[:, : it + 1].ravel(), starts[stretch[blk]])
+                bseg = seg[blk]
+                xc_at = xc[brows, bseg] + frac[blk] * (xc[brows, bseg + 1] - xc[brows, bseg])
+                wc_at[blk] = wc[brows, bseg] + y_grid[brows, bseg] * (xc_at - xc[brows, bseg])
         wz = np.where(mask, y_jump * jz, 0.0)
 
-        # continuous part: left-endpoint sums of y against the Gaussian walk
-        # (identically 0 without diffusion and drift).  Here and for y_grid
-        # the normals are dropped once used and wc is summed in place, so a
-        # batch holds few (batch x grid) arrays, also with several in flight
-        if has_cont:
-            xc = _gaussian_walk(model, substream(seed, batch_index, GAUSS_STREAM)
-                                .standard_normal((b, grid_size, 1)))[..., 0]
-            wc = np.zeros((b, grid_size + 1))
-            dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
-            dw *= y_grid[:, :-1]
-            np.cumsum(dw, axis=1, out=dw)
-
-        # jump part: cum[:, k] is the sum of the first k jumps in time order.
-        # A jump at tau counts on the grid from the first grid point >= tau
-        # on, its cell, so the grid value is cum at the jumps seen so far
+        # jump part: cum[:, k] is the sum of the first k jumps in time order,
+        # so the grid value is cum at the jumps seen so far
         cum = np.zeros((b, kmax + 1))
         np.cumsum(wz, axis=1, out=cum[:, 1:])
-        cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
         seen = np.count_nonzero(cell <= it, axis=1)
-        endpoints[start:stop] = (wc[:, it] if has_cont else 0.0) + cum[rows[:, 0], seen]
+        endpoints[start:stop] = wc_end + cum[rows[:, 0], seen]
         if not running_sup:
             return
 
-        # grid sup: cum is constant from each cell's last jump up to the next
-        # cell with jumps; stretch 0 runs from time 0 with cum = 0 (jump cells
-        # are >= 1, since jump times are > 0, so a row's stretch starts strictly
-        # increase)
-        last = np.hstack([cell[:, 1:] != cell[:, :-1], np.ones((b, 1), dtype=bool)])
-        stretch = np.hstack([np.ones((b, 1), dtype=bool), last & (cell <= it)])
-        stretch_wc = np.zeros((b, kmax + 1))
-        if has_cont:
-            starts = np.hstack([np.zeros((b, 1), dtype=int), cell]) + rows * (it + 1)
-            stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
-                                                      starts[stretch])
         sup_vals = np.max(np.where(stretch, stretch_wc + cum, -np.inf), axis=1)
-
-        # values on both sides of each jump between grid points: interpolate
-        # the continuous part and add the jump sums
-        wc_at = 0.0
-        if has_cont:
-            seg = np.clip((jt * grid_size).astype(int), 0, grid_size - 1)
-            frac = jt * grid_size - seg
-            xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
-            wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
+        # values on both sides of each jump between grid points: the
+        # interpolated continuous part plus the jump sums
         value_at = wc_at + cum[:, 1:]
         ok = jt <= t
         post = np.where(ok, value_at, -np.inf)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,21 @@ class TestBatchFunctionals:
             batch_integral_functionals(m, ConstantIntegrand([1.0]), 1e-13, 10, 1,
                                        grid_size=512)
 
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one batch of 2048 exp-OU replicates with a Gaussian part; whole
+        # (batch x grid) arrays would take 100 MB at grid 2048 against 6 MB at 128
+        m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
+        spec = ExpOUIntegrand(2.0, 0.3, 1.0)
+        peaks = []
+        for grid_size in (128, 2048):
+            tracemalloc.start()
+            try:
+                batch_integral_functionals(m, spec, 1.0, 2048, 3, grid_size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
 
 def dense_batch_reference(model, integrand, t, n, seed, grid_size):
     """``batch_integral_functionals`` with the jump part on the whole grid:
@@ -520,11 +536,16 @@ class TestBatchDifferential:
         if batch is not None:
             monkeypatch.setattr(levy_sim, "_BATCH", batch)
         n, seed = 2500, 21
-        got = batch_integral_functionals(model, spec, t, n, seed, grid_size)
         want = dense_batch_reference(model, spec, t, n, seed, grid_size)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        # the endpoint-only mode: the same endpoint bits, and no sup
-        endpoint, sup = batch_integral_functionals(model, spec, t, n, seed, grid_size,
-                                                   running_sup=False)
-        assert np.array_equal(endpoint, want[0]) and sup is None
+        # one row block per batch, then blocks of 97 rows and a partial last
+        # block (2500 = 25 * 97 + 75; batches of 700 and a last one of 400),
+        # then a budget below one row, which gives blocks of one row
+        for budget in (levy_sim._BLOCK_ELEMENTS, 97 * (grid_size + 1), grid_size):
+            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+            got = batch_integral_functionals(model, spec, t, n, seed, grid_size)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            # the endpoint-only mode: the same endpoint bits, and no sup
+            endpoint, sup = batch_integral_functionals(model, spec, t, n, seed, grid_size,
+                                                       running_sup=False)
+            assert np.array_equal(endpoint, want[0]) and sup is None
