@@ -43,10 +43,21 @@ The batch sampler (tails and tail-equivalence), ``breiman_ratio``, and
 ``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks) run on
 ``threads`` > 1 when ``bigjump run --threads`` asks for it;
 ``one_big_jump_curve`` runs on one thread.
+
+``scratch(name, shape)`` gives those chunk functions their temporaries: each
+thread keeps one buffer per name, grows it when a chunk needs more and hands
+out a view of it, so the chunks a thread runs draw and transform in place in
+the same pages instead of allocating (and page-faulting) fresh arrays each
+chunk.  A view holds stale values and is overwritten at the thread's next
+request under that name, so each name has one owner: the chunk function that
+uses it.  The buffers last as long as one ``chunks`` call: a pool thread's
+go with the pool, and a one-thread ``chunks`` drops the calling thread's
+buffers when it returns, so no estimator's buffers outlive it.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -60,6 +71,8 @@ INTEGRAND_STREAM = 2
 AUX_STREAM = 3
 
 _MASK = (1 << 64) - 1
+# this thread's scratch buffers: name -> flat array
+_buffers = threading.local()
 
 
 def _key(seed: int, replicate_index: int, tag: int) -> np.ndarray:
@@ -101,4 +114,19 @@ def chunks(n: int, size: int, fn: Callable[[int, int, int], object],
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda span: fn(*span), spans))
-    return [fn(*span) for span in spans]
+    try:
+        return [fn(*span) for span in spans]
+    finally:
+        vars(_buffers).clear()  # this thread's scratch buffers
+
+
+def scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """This thread's buffer ``name`` viewed as a C-contiguous array of
+    ``shape`` and ``dtype``, reallocated only when it is too small (or of
+    another dtype); its values are whatever the last user left there."""
+    size = int(np.prod(shape))
+    buf = vars(_buffers).get(name)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_buffers, name, buf)
+    return buf[:size].reshape(shape)

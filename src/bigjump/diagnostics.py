@@ -21,17 +21,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
-                   rekey, substream)
+                   rekey, scratch, substream)
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, _draw_jumps,
                        _gaussian_walk, _integrand_values, _pareto_radii, _power_mean,
                        batch_integral_functionals)
 from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 
-BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
+# ``sampler(rng, out)`` fills the float array ``out`` with i.i.d. draws from
+# ``rng``, in C order, in place; its return value is ignored.  The estimators
+# pass their chunk's scratch buffers (``_rng.scratch``) as ``out``.
+BatchSampler = Callable[[np.random.Generator, np.ndarray], object]
 
 _CHUNK = 1 << 16
 # The lemma checks hold _CHUNK x (largest Poisson count) arrays per chunk: at
-# this rate a 131072-trial run peaks at 358 MB, at rate 1000 at 2.48 GB.
+# this rate a run of 131072 trials and reps peaks at 302 MB (at rate 1000 it
+# peaked at 2.48 GB before the chunks drew into reused buffers).
 _MAX_LAM = 100.0
 
 
@@ -163,12 +167,19 @@ def breiman_ratio(x_sampler: BatchSampler, y_sampler: BatchSampler,
                   levels: Sequence[float], n: int, seed: int,
                   threads: int = 1) -> list[RatioEstimate]:
     """P(YX > u) / P(X > u) on shared X replicates, per level; the chunks run
-    on ``threads`` threads, with the same result."""
+    on ``threads`` threads, with the same result.
+
+    Each sampler fills a chunk's X or Y array in place (see ``BatchSampler``);
+    both arrays are the running thread's scratch buffers, reused chunk after
+    chunk, and Y becomes YX in place."""
     levels = list(levels)
 
     def counts(i: int, start: int, stop: int) -> np.ndarray:
-        x = x_sampler(substream(seed, i, AUX_STREAM), stop - start)
-        yx = y_sampler(substream(seed, i, AUX_STREAM + 1), stop - start) * x
+        x = scratch("breiman.x", stop - start)
+        yx = scratch("breiman.yx", stop - start)
+        x_sampler(substream(seed, i, AUX_STREAM), x)
+        y_sampler(substream(seed, i, AUX_STREAM + 1), yx)
+        yx *= x
         return np.array([_joint_counts(yx, x, u) for u in levels])
 
     total = np.sum(chunks(n, _CHUNK, counts, threads), axis=0)
@@ -447,18 +458,34 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 # Auxiliary bound checks
 # ---------------------------------------------------------------------------
 
-def maximal_product_bound(count_sampler: BatchSampler,
+def _first_columns(counts: np.ndarray, kmax: int, name: str) -> np.ndarray:
+    """The (len(counts), kmax) mask of each row's first ``counts`` (at most
+    ``kmax``) columns, in this thread's boolean scratch buffer ``name``: row c
+    of a (kmax + 1, kmax) table per row, which is faster than comparing the
+    counts with every column."""
+    table = np.arange(kmax) < np.arange(kmax + 1)[:, None]
+    return np.take(table, counts, axis=0, mode="clip",
+                   out=scratch(name, (len(counts), kmax), bool))
+
+
+def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np.ndarray],
                           y_builder: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          z_sampler: Callable[[np.random.Generator, tuple], np.ndarray],
+                          z_sampler: BatchSampler,
                           n_trials: int, x_level: float, seed: int,
                           threads: int = 1) -> tuple[TailEstimate, TailEstimate]:
     """Both sides of the decoupled maximal-product tail bound.
 
     Estimates lhs = P(sum_{k<=N} Y_k Z_k > x) and rhs = P(N max_k Y_k Z~_k > x)
-    where (Z~_k) is an independent copy of (Z_k).  ``y_builder(z, mask)`` must
-    return the factor matrix computed from strict prefixes of its first
-    argument only (predictable construction), e.g. ``lambda z, mask: ones`` or
-    a function of the cumulative sums of earlier entries.  The chunks run on
+    where (Z~_k) is an independent copy of (Z_k).  ``count_sampler(rng, b)``
+    returns a chunk's b counts N.  ``z_sampler`` fills a (b, most counts)
+    array in place (see ``BatchSampler``), once for Z and once for Z~.
+    ``y_builder(z, mask)`` must return the factor matrix (or a value that
+    broadcasts to it) computed from strict prefixes of its first argument only
+    (predictable construction), e.g. ``lambda z, mask: 1.0`` or a function of
+    the cumulative sums of earlier entries.  Z and Z~ live in the running
+    thread's scratch buffers, reused chunk after chunk; the entries beyond a
+    row's count are zeroed, and Z and Z~ become their products with the
+    factors in place.  The chunks run on
     ``threads`` threads, with the same result.
     """
     if x_level <= 0:
@@ -469,12 +496,17 @@ def maximal_product_bound(count_sampler: BatchSampler,
         b = stop - start
         counts = np.asarray(count_sampler(rng, b))
         kmax = max(int(counts.max()), 1)
-        mask = np.arange(kmax)[None, :] < counts[:, None]
-        z = np.where(mask, z_sampler(rng, (b, kmax)), 0.0)
-        zt = np.where(mask, z_sampler(rng, (b, kmax)), 0.0)
-        yk = np.where(mask, y_builder(z, mask), 0.0)
-        return (int(np.count_nonzero((yk * z).sum(axis=1) > x_level)),
-                int(np.count_nonzero(counts * (yk * zt).max(axis=1) > x_level)))
+        mask = _first_columns(counts, kmax, "mpb.mask")
+        off = np.logical_not(mask, out=scratch("mpb.off", (b, kmax), bool))
+        z, zt = scratch("mpb.z", (b, kmax)), scratch("mpb.zt", (b, kmax))
+        for draw in (z, zt):
+            z_sampler(rng, draw)
+            np.copyto(draw, 0.0, where=off)
+        y = y_builder(z, mask)
+        for prod in (zt, z):  # z last, since y may be a view of it
+            np.multiply(prod, y, out=prod, where=mask)
+        return (int(np.count_nonzero(z.sum(axis=1) > x_level)),
+                int(np.count_nonzero(counts * zt.max(axis=1) > x_level)))
 
     lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits, threads), axis=0)
     return (TailEstimate(x_level, n_trials, int(lhs_hits)),
@@ -501,7 +533,9 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
     mechanism.  The reported stderr is the binomial error of the MC estimate
     under the closed-form rate, which stays meaningful when no hits occur.
     Each entry of ``n_values`` reads its own stream in order, so the entries,
-    not their chunks, run on ``threads`` threads, with the same result.
+    not their chunks, run on ``threads`` threads, with the same result.  A
+    chunk's (reps, most jumps) radii and masks are the running thread's
+    scratch buffers, reused chunk after chunk and entry after entry.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
@@ -518,10 +552,11 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
             # the chunks read on through this entry's one stream, in order
             counts = rng.poisson(lam, stop - start)
             kmax = max(int(counts.max()), 1)
-            mask = np.arange(kmax)[None, :] < counts[:, None]
-            radii = _pareto_radii(rng, measure.alpha, (stop - start, kmax))
-            m = np.count_nonzero(mask & (radii > thr), axis=1)
-            return int(np.count_nonzero(m >= 2))
+            shape = (stop - start, kmax)
+            radii = _pareto_radii(rng, measure.alpha, out=scratch("djt.radii", shape))
+            above = np.greater(radii, thr, out=scratch("djt.above", shape, bool))
+            above &= _first_columns(counts, kmax, "djt.mask")
+            return int(np.count_nonzero(np.count_nonzero(above, axis=1) >= 2))
 
         hits = sum(chunks(reps, _CHUNK, chunk_hits))
         p_true = closed / n

@@ -26,11 +26,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
+from ._rng import scratch
 from .diagnostics import (_MAX_LAM, RatioEstimate, TailEstimate, analytic_prediction,
                           breiman_ratio, double_jump_trend,
                           maximal_product_bound, one_big_jump_curve,
                           tail_equivalence)
-from .levy_sim import (_MAX_GRID_SIZE, ConstantIntegrand, DeterministicIntegrand,
+from .levy_sim import (_MAX_GRID_SIZE, _MAX_N, ConstantIntegrand, DeterministicIntegrand,
                        ExpOUIntegrand, LevyModel, SimConfig, _pareto_radii,
                        batch_integral_functionals, one_jump_integral, simulate_integrand,
                        simulate_levy_path, stochastic_integral)
@@ -163,6 +164,8 @@ def _relations(schema: dict, v: dict) -> list[str]:
     if "t" in schema:  # the kinds that reduce the batch sampler's endpoint values
         if model is not None and model.dimension != 1:
             errors.append(f"{v['kind']} experiments support one-dimensional models only")
+        if v.get("n") is not None and v["n"] > _MAX_N:
+            errors.append(f"n must be an integer in [1, {_MAX_N}] for {v['kind']}")
         t, gs = v.get("t"), v.get("grid_size")
         if t is not None and gs is not None:
             try:
@@ -320,7 +323,7 @@ def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> l
 
 
 def _run_breiman(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
-    x_sampler = lambda rng, size: _pareto_radii(rng, spec.breiman.alpha, size)
+    x_sampler = lambda rng, out: _pareto_radii(rng, spec.breiman.alpha, out=out)
     ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed,
                          threads)
     return [_write_rows(out, "breiman", digest, spec.format, _RATIO_HEADER,
@@ -355,17 +358,25 @@ def _run_tail_equivalence(spec: SimpleNamespace, out: Path, digest: str,
                         _ratio_rows(ests))]
 
 
+def _prefix_factors(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The lemma checks' predictable factors: 1 + min(1, (sum of the earlier
+    entries of the row) / 10), in this thread's scratch buffer."""
+    y = scratch("lemma.prefix", z.shape)
+    y[:, 0] = 0.0
+    np.cumsum(z[:, :-1], axis=1, out=y[:, 1:])
+    y /= 10.0
+    np.minimum(1.0, y, out=y)
+    y += 1.0
+    return y
+
+
 def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
                       threads: int) -> list[str]:
     sec = spec.lemma_checks
     alpha, lam = sec.alpha, sec.lam
-    z_sampler = lambda rng, shape: _pareto_radii(rng, alpha, shape)
+    z_sampler = lambda rng, out: _pareto_radii(rng, alpha, out=out)
     rows = []
-    for label, y_builder in (
-            ("unit", lambda z, mask: np.ones_like(z)),
-            ("prefix", lambda z, mask: 1.0 + np.minimum(
-                1.0, np.hstack([np.zeros((z.shape[0], 1)), np.cumsum(z, axis=1)[:, :-1]]) / 10.0)),
-    ):
+    for label, y_builder in (("unit", lambda z, mask: 1.0), ("prefix", _prefix_factors)):
         lhs, rhs = maximal_product_bound(
             lambda rng, size: rng.poisson(lam, size), y_builder, z_sampler,
             sec.n_trials, sec.x_level, spec.seed, threads)
@@ -423,14 +434,19 @@ _KINDS: dict[str, tuple[dict, Callable[..., list[str]]]] = {
 _TOP_LEVEL_KEYS = frozenset(key for schema, _ in _KINDS.values() for key in schema)
 
 
+# The breiman.y variants build ``BatchSampler``s, which fill their ``out`` in place.
 def _const_y(value) -> Callable:
     if np.ndim(value) or not value > 0:
         raise ValueError("value must be a positive number")
-    return lambda rng, size: np.full(size, float(value))
+    return lambda rng, out: out.fill(float(value))
 
 
 def _lognormal_y(sigma: float) -> Callable:
-    return lambda rng, size: np.exp(sigma * rng.standard_normal(size))
+    def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+        out *= sigma
+        np.exp(out, out=out)
+    return fill
 
 
 # How each section is read: key -> (the key that names its variant, None for

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, substream
+from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, scratch, substream
 from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure, _grid_index
 
@@ -39,8 +39,12 @@ from .regvar import RegVarMeasure, _grid_index
 _MAX_INTENSITY = 1e3
 # The samplers hold grid_size + 1 values per replicate, the batch sampler per row of
 # a block: at this grid, n = 8192, intensity 1 and exp-OU with diffusion 0.5, tails
-# and tail-equivalence peak at 52 and 54 MB.
+# and tail-equivalence peak at 50 and 53 MB.
 _MAX_GRID_SIZE = 4096
+# tails and tail-equivalence hold the batch sampler's n endpoints (and running
+# sups): at this n, grid 512, intensity 1 and a constant integrand, tails peaks
+# at 182 MB and tail-equivalence at 342 MB.
+_MAX_N = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,14 @@ IntegrandSpec = ConstantIntegrand | DeterministicIntegrand | ExpOUIntegrand
 # Path simulation
 # ---------------------------------------------------------------------------
 
-def _pareto_radii(rng: np.random.Generator, alpha: float, shape) -> np.ndarray:
-    """Pareto radii on [1, inf) with tail index ``alpha``: (1 - U)**(-1/alpha)."""
-    return (1.0 - rng.random(shape)) ** (-1.0 / alpha)
+def _pareto_radii(rng: np.random.Generator, alpha: float, shape=None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pareto radii on [1, inf) with tail index ``alpha``: (1 - U)**(-1/alpha),
+    of shape ``shape``, or written into ``out`` (and returned); the same bits
+    either way, computed in place."""
+    u = rng.random(shape, out=out)
+    np.subtract(1.0, u, out=u)
+    return np.power(u, -1.0 / alpha, out=u)
 
 
 def _jump_marks(model: LevyModel, rng: np.random.Generator,
@@ -224,11 +233,14 @@ def _draw_jumps(model: LevyModel, rng: np.random.Generator) -> tuple[np.ndarray,
     return np.sort(times), sizes
 
 
-def _gaussian_walk(model: LevyModel, z: np.ndarray) -> np.ndarray:
+def _gaussian_walk(model: LevyModel, z: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Light part on the uniform grid from standard normals ``z`` of shape
-    (..., grid_size, d): values (..., grid_size + 1, d), starting at 0."""
+    (..., grid_size, d): values (..., grid_size + 1, d), starting at 0,
+    written into ``out`` when given."""
     gs, d = z.shape[-2:]
-    walk = np.zeros(z.shape[:-2] + (gs + 1, d))
+    walk = np.zeros(z.shape[:-2] + (gs + 1, d)) if out is None else out
+    walk[..., 0, :] = 0.0
     inc = walk[..., 1:, :]
     if d == 1 and model.diffusion[0, 0] != 0.0:
         # one multiply per entry, the bits of the matmul, at a third of its
@@ -242,38 +254,50 @@ def _gaussian_walk(model: LevyModel, z: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _ou_exponent(rate: float, vol: float, grid: np.ndarray, z: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact OU transitions along the last axis of ``grid`` driven by the
     standard normals ``z`` (one per step), vectorized via the exp(rate * t)
     integrating factor (exponents stay bounded on [0, 1]).  A one-dimensional
-    ``grid`` serves every leading index of ``z``."""
+    ``grid`` serves every leading index of ``z``.  The values, starting at 0,
+    are written into ``out`` when given."""
     h = np.diff(grid, axis=-1)
-    u = np.zeros(z.shape[:-1] + (z.shape[-1] + 1,))
+    u = np.zeros(z.shape[:-1] + (z.shape[-1] + 1,)) if out is None else out
+    u[..., 0] = 0.0
+    steps = u[..., 1:]
     if rate == 0.0:
-        sd = vol * np.sqrt(h)
-        np.cumsum(sd * z, axis=-1, out=u[..., 1:])
+        np.multiply(vol * np.sqrt(h), z, out=steps)
+        np.cumsum(steps, axis=-1, out=steps)
         return u
     sd = vol * np.sqrt((1.0 - np.exp(-2.0 * rate * h)) / (2.0 * rate))
-    np.cumsum(np.exp(rate * grid[..., 1:]) * sd * z, axis=-1, out=u[..., 1:])
-    u[..., 1:] *= np.exp(-rate * grid[..., 1:])
+    np.multiply(np.exp(rate * grid[..., 1:]) * sd, z, out=steps)
+    np.cumsum(steps, axis=-1, out=steps)
+    steps *= np.exp(-rate * grid[..., 1:])
     return u
 
 
 def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
-                      z: Optional[np.ndarray] = None) -> np.ndarray:
+                      z: Optional[np.ndarray] = None,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrand values (..., m, d) at the times ``grid`` (..., m); an exp-OU
     integrand also needs its standard normals ``z`` (..., m - 1), against
-    whose leading axes a one-dimensional ``grid`` broadcasts."""
-    if isinstance(spec, ConstantIntegrand):
-        return np.tile(spec.value, grid.shape + (1,))
-    if isinstance(spec, DeterministicIntegrand):
-        return (spec.scale * np.exp(spec.rate * grid))[..., None]
+    whose leading axes a one-dimensional ``grid`` broadcasts.  The values are
+    written into ``out`` when given, which an exp-OU integrand fills in place."""
     if isinstance(spec, ExpOUIntegrand):
-        u = _ou_exponent(spec.rate, spec.vol, grid, z)
+        u = _ou_exponent(spec.rate, spec.vol, grid, z, None if out is None else out[..., 0])
         np.exp(u, out=u)
         u *= spec.initial
-        return u[..., None]
-    raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
+        return u[..., None] if out is None else out
+    if isinstance(spec, ConstantIntegrand):
+        values = np.tile(spec.value, grid.shape + (1,))
+    elif isinstance(spec, DeterministicIntegrand):
+        values = (spec.scale * np.exp(spec.rate * grid))[..., None]
+    else:
+        raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 def _power_mean(spec: IntegrandSpec, alpha: float, grid: np.ndarray) -> np.ndarray:
@@ -423,6 +447,9 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     integrand and Gaussian streams are read on block after block, which takes
     their normals in the order one (batch x grid) draw fills them, so the
     block size changes no bit, and a batch's memory does not grow with the grid.
+    A block's normals, OU exponent, Gaussian walk and continuous sum are drawn
+    and transformed in place in the running thread's scratch buffers
+    (``_rng.scratch``), which every block and batch on that thread reuses.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
@@ -484,18 +511,22 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             for lo in range(0, b, block):
                 blk = slice(lo, min(lo + block, b))
                 r = blk.stop - lo
+                # a block's (rows x grid) arrays are this thread's scratch
+                # buffers, filled in place: the integrand's normals, once used,
+                # give their buffer to the Gaussian ones
                 if exp_ou:
-                    y_grid = _integrand_values(integrand, grid,
-                                               y_rng.standard_normal((r, grid_size)))[..., 0]
+                    z = y_rng.standard_normal(out=scratch("batch.z", (r, grid_size)))
+                    y_grid = _integrand_values(integrand, grid, z,
+                                               scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
                     y_jump[blk] = np.take_along_axis(y_grid, pos[blk], axis=1)
                 else:
                     y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
                 if not has_cont:
                     continue
-                # the normals are dropped once used and wc is summed in place, so
-                # a block holds few (rows x grid) arrays
-                xc = _gaussian_walk(model, x_rng.standard_normal((r, grid_size, 1)))[..., 0]
-                wc = np.zeros((r, grid_size + 1))
+                z = x_rng.standard_normal(out=scratch("batch.z", (r, grid_size, 1)))
+                xc = _gaussian_walk(model, z, scratch("batch.xc", (r, grid_size + 1, 1)))[..., 0]
+                wc = scratch("batch.wc", (r, grid_size + 1))
+                wc[:, 0] = 0.0
                 dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
                 dw *= y_grid[:, :-1]
                 np.cumsum(dw, axis=1, out=dw)

@@ -139,16 +139,17 @@ def test_criterion_4_one_big_jump_curves():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_breiman():
-    pareto2 = lambda rng, size: (1.0 - rng.random(size)) ** -0.5
+    # samplers fill the chunk's array ``out`` in place
+    pareto2 = lambda rng, out: np.copyto(out, (1.0 - rng.random(out.shape)) ** -0.5)
     levels = [2.0, 4.0, 8.0, 16.0, 32.0]
-    const = bj.breiman_ratio(pareto2, lambda rng, size: np.full(size, 2.0),
+    const = bj.breiman_ratio(pareto2, lambda rng, out: out.fill(2.0),
                              levels, 10 ** 6, seed=505)
     # exact Pareto algebra: P(2X > u) / P(X > u) = 4 for every u >= 2
     const_ok = all(abs(e.ratio - 4.0) <= 3 * e.stderr for e in const)
 
-    logn = bj.breiman_ratio(pareto2,
-                            lambda rng, size: np.exp(0.5 * rng.standard_normal(size)),
-                            levels, 10 ** 6, seed=506)
+    logn = bj.breiman_ratio(
+        pareto2, lambda rng, out: np.copyto(out, np.exp(0.5 * rng.standard_normal(out.shape))),
+        levels, 10 ** 6, seed=506)
     top = max((e for e in logn if e.denominator_hits >= 500), key=lambda e: e.u)
     target = math.exp(0.5)
     logn_ok = abs(top.ratio - target) <= 0.1 * target
@@ -301,7 +302,8 @@ def test_criterion_9_integral_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_maximal_product_bound():
-    pareto15 = lambda rng, shape: (1.0 - rng.random(shape)) ** (-1.0 / 1.5)
+    # fills the chunk's (trials, most terms) array ``out`` in place
+    pareto15 = lambda rng, out: np.copyto(out, (1.0 - rng.random(out.shape)) ** (-1.0 / 1.5))
     unit = lambda z, mask: np.ones_like(z)
 
     def prefix(z, mask):

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bigjump import diagnostics, levy_sim, regvar
+from bigjump import diagnostics, experiments, levy_sim, regvar
+from bigjump._rng import AUX_STREAM, substream
 from bigjump.cadlag import j1_within, one_step_approx, sup_norm, uniform_distance
 from bigjump.diagnostics import (TailEstimate, analytic_prediction, breiman_ratio,
                                  double_jump_trend, hill, maximal_product_bound,
@@ -20,7 +21,12 @@ from bigjump.regvar import RegVarMeasure, weighted_one_step_mass
 
 
 def pareto_sampler(alpha):
-    return lambda rng, size: (1.0 - rng.random(size)) ** (-1.0 / alpha)
+    """A ``BatchSampler``: fills ``out`` with Pareto draws."""
+    return lambda rng, out: np.copyto(out, (1.0 - rng.random(out.shape)) ** (-1.0 / alpha))
+
+
+def lognormal_sampler(sigma):
+    return lambda rng, out: np.copyto(out, np.exp(sigma * rng.standard_normal(out.shape)))
 
 
 class TestTailProb:
@@ -87,7 +93,7 @@ class TestHill:
 class TestBreimanRatio:
     def test_unit_factor_is_one(self):
         ests = breiman_ratio(pareto_sampler(2.0),
-                             lambda rng, size: np.ones(size),
+                             lambda rng, out: out.fill(1.0),
                              [2.0, 8.0], 20000, seed=2)
         for e in ests:
             assert e.ratio == 1.0 and e.stderr == 0.0
@@ -95,14 +101,13 @@ class TestBreimanRatio:
     def test_constant_two_exact_algebra(self):
         # P(2X > u) / P(X > u) = 2^alpha exactly for Pareto X and u >= 2
         ests = breiman_ratio(pareto_sampler(2.0),
-                             lambda rng, size: np.full(size, 2.0),
+                             lambda rng, out: out.fill(2.0),
                              [2.0, 4.0, 16.0], 400000, seed=4)
         for e in ests:
             assert abs(e.ratio - 4.0) < 3 * e.stderr
 
     def test_lognormal_moment_limit(self):
-        ests = breiman_ratio(pareto_sampler(2.0),
-                             lambda rng, size: np.exp(0.5 * rng.standard_normal(size)),
+        ests = breiman_ratio(pareto_sampler(2.0), lognormal_sampler(0.5),
                              [8.0], 400000, seed=6)
         e = ests[0]
         assert abs(e.ratio - math.exp(0.5)) < 4 * e.stderr
@@ -111,8 +116,7 @@ class TestBreimanRatio:
         # counts merge per chunk, so nothing of size n is kept
         tracemalloc.start()
         try:
-            breiman_ratio(pareto_sampler(2.0),
-                          lambda rng, size: np.exp(0.5 * rng.standard_normal(size)),
+            breiman_ratio(pareto_sampler(2.0), lognormal_sampler(0.5),
                           [2.0, 4.0, 8.0, 16.0, 32.0], 4_000_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -464,7 +468,7 @@ class TestMaximalProductBound:
         lhs, rhs = maximal_product_bound(
             lambda rng, size: np.ones(size, dtype=int),
             lambda z, mask: np.ones_like(z),
-            lambda rng, shape: (1.0 - rng.random(shape)) ** (-1 / 1.5),
+            pareto_sampler(1.5),
             100000, 10.0, seed=2)
         se = math.hypot(lhs.stderr, rhs.stderr)
         assert abs(lhs.p_hat - rhs.p_hat) < 3 * se
@@ -474,7 +478,7 @@ class TestMaximalProductBound:
         lhs, rhs = maximal_product_bound(
             lambda rng, size: rng.poisson(2.0, size),
             lambda z, mask: np.ones_like(z),
-            lambda rng, shape: np.zeros(shape),
+            lambda rng, out: out.fill(0.0),
             1000, 5.0, seed=3)
         assert lhs.p_hat == 0.0 and rhs.p_hat == 0.0
 
@@ -482,7 +486,7 @@ class TestMaximalProductBound:
         lhs, rhs = maximal_product_bound(
             lambda rng, size: rng.poisson(2.0, size),
             lambda z, mask: np.ones_like(z),
-            lambda rng, shape: (1.0 - rng.random(shape)) ** (-1 / 1.5),
+            pareto_sampler(1.5),
             200000, 20.0, seed=4)
         margin = 3 * math.hypot(lhs.stderr, 2 * rhs.stderr)
         assert lhs.p_hat <= 2 * rhs.p_hat + margin
@@ -527,12 +531,129 @@ class TestDoubleJumpTrend:
         assert len({p.mc_value / p.n for p in one}) > 1
 
 
+# ---------------------------------------------------------------------------
+# Scratch-buffer reductions against per-chunk allocating references
+# ---------------------------------------------------------------------------
+
+# The chunk size for these tests: 10500 replicates make ten full chunks and a
+# partial last one, and the most Poisson(2) jumps of a chunk both grows and
+# shrinks from chunk to chunk, so the scratch buffers are grown and sliced.
+_SMALL_CHUNK = 1000
+_N = 10500
+
+
+def _spans(n):
+    return [(i, lo, min(lo + _SMALL_CHUNK, n)) for i, lo in enumerate(range(0, n, _SMALL_CHUNK))]
+
+
+def _grows_and_shrinks(kmax):
+    return (any(b > a for a, b in zip(kmax, kmax[1:]))
+            and any(b < a for a, b in zip(kmax, kmax[1:])))
+
+
+def breiman_reference(alpha, sigma, levels, n, seed):
+    """``breiman_ratio`` with fresh arrays per chunk, Pareto X and lognormal Y."""
+    total = 0
+    for i, lo, hi in _spans(n):
+        x = (1.0 - substream(seed, i, AUX_STREAM).random(hi - lo)) ** (-1.0 / alpha)
+        yx = np.exp(sigma * substream(seed, i, AUX_STREAM + 1).standard_normal(hi - lo)) * x
+        total = total + np.array([diagnostics._joint_counts(yx, x, u) for u in levels])
+    return [diagnostics._delta_ratio(u, *total[k], n) for k, u in enumerate(levels)]
+
+
+def max_product_reference(lam, alpha, y_builder, n, x_level, seed):
+    """``maximal_product_bound`` with fresh arrays per chunk; also returns
+    each chunk's most jumps."""
+    lhs = rhs = 0
+    kmaxes = []
+    for i, lo, hi in _spans(n):
+        rng = substream(seed, i, AUX_STREAM)
+        counts = rng.poisson(lam, hi - lo)
+        kmax = max(int(counts.max()), 1)
+        kmaxes.append(kmax)
+        mask = np.arange(kmax)[None, :] < counts[:, None]
+        z = np.where(mask, (1.0 - rng.random((hi - lo, kmax))) ** (-1.0 / alpha), 0.0)
+        zt = np.where(mask, (1.0 - rng.random((hi - lo, kmax))) ** (-1.0 / alpha), 0.0)
+        yk = np.where(mask, y_builder(z, mask), 0.0)
+        lhs += int(np.count_nonzero((yk * z).sum(axis=1) > x_level))
+        rhs += int(np.count_nonzero(counts * (yk * zt).max(axis=1) > x_level))
+    return (TailEstimate(x_level, n, lhs), TailEstimate(x_level, n, rhs)), kmaxes
+
+
+def double_jump_reference(measure, lam, beta, n_values, reps, seed):
+    """``double_jump_trend`` with fresh arrays per chunk; also returns each
+    entry's chunks' most jumps."""
+    seq = regvar.ScalingSequence(measure.alpha, measure.intensity_c)
+    points, kmaxes = [], []
+    for idx, n in enumerate(n_values):
+        thr = seq.value(n) ** beta
+        p_n = min(1.0, thr ** (-measure.alpha))
+        closed = n * (1.0 - (1.0 + lam * p_n) * math.exp(-lam * p_n))
+        rng = substream(seed, idx, AUX_STREAM)
+        hits = 0
+        for _, lo, hi in _spans(reps):
+            counts = rng.poisson(lam, hi - lo)
+            kmax = max(int(counts.max()), 1)
+            kmaxes.append(kmax)
+            mask = np.arange(kmax)[None, :] < counts[:, None]
+            radii = (1.0 - rng.random((hi - lo, kmax))) ** (-1.0 / measure.alpha)
+            hits += int(np.count_nonzero(np.count_nonzero(mask & (radii > thr), axis=1) >= 2))
+        p_true = closed / n
+        points.append(diagnostics.TrendPoint(int(n), closed, n * hits / reps,
+                                             n * math.sqrt(p_true * (1.0 - p_true) / reps)))
+    return points, kmaxes
+
+
+def _prefix_reference(z, mask):
+    prev = np.hstack([np.zeros((z.shape[0], 1)), np.cumsum(z, axis=1)[:, :-1]])
+    return 1.0 + np.minimum(1.0, prev / 10.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+class TestScratchReductions:
+    """The estimators draw into per-thread scratch buffers; every count must
+    equal a per-chunk allocating reference's, at any thread count."""
+
+    def test_breiman_ratio(self, monkeypatch, threads):
+        monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
+        levels = [1.5, 3.0, 6.0]
+        x_sampler = lambda rng, out: levy_sim._pareto_radii(rng, 1.5, out=out)
+        got = breiman_ratio(x_sampler, experiments._lognormal_y(0.7), levels, _N, 21,
+                            threads)
+        assert got == breiman_reference(1.5, 0.7, levels, _N, 21)
+
+    @pytest.mark.parametrize("builders", [
+        pytest.param((lambda z, mask: 1.0, lambda z, mask: np.ones_like(z)), id="unit"),
+        pytest.param((experiments._prefix_factors, _prefix_reference), id="prefix"),
+        # a factor matrix that is its argument itself
+        pytest.param((lambda z, mask: z, lambda z, mask: z), id="identity"),
+    ])
+    def test_maximal_product_bound(self, monkeypatch, threads, builders):
+        monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
+        builder, reference_builder = builders
+        want, kmax = max_product_reference(2.0, 1.2, reference_builder, _N, 6.0, 31)
+        assert _grows_and_shrinks(kmax)
+        got = maximal_product_bound(
+            lambda rng, size: rng.poisson(2.0, size), builder,
+            lambda rng, out: levy_sim._pareto_radii(rng, 1.2, out=out), _N, 6.0, 31, threads)
+        assert got == want
+        assert 0 < want[0].hits < want[1].hits < _N
+
+    def test_double_jump_trend(self, monkeypatch, threads):
+        monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
+        m = RegVarMeasure(1.5, 2.0, [([1.0], 1.0)])
+        want, kmax = double_jump_reference(m, 2.0, 0.75, [10, 100], _N, 41)
+        assert _grows_and_shrinks(kmax)
+        assert double_jump_trend(m, 2.0, 0.75, [10, 100], _N, 41, threads) == want
+        assert all(p.mc_value > 0 for p in want)
+
+
 @pytest.mark.parametrize("estimate", [
     pytest.param(lambda: breiman_ratio(pareto_sampler(2.0), pareto_sampler(2.0), [2.0], 0, 1),
                  id="breiman_ratio"),
     pytest.param(lambda: maximal_product_bound(
         lambda rng, size: rng.poisson(1.0, size), lambda z, mask: np.ones_like(z),
-        lambda rng, shape: rng.random(shape), 0, 5.0, 1), id="maximal_product_bound"),
+        lambda rng, out: rng.random(out=out), 0, 5.0, 1), id="maximal_product_bound"),
     pytest.param(lambda: double_jump_trend(RegVarMeasure(1.5, 1.0, [([1.0], 1.0)]), 1.0,
                                            0.75, [100, 1000], 0, 1), id="double_jump_trend"),
 ])

@@ -60,6 +60,9 @@ CAPPED_CONFIGS = [
       for size in (4097, 2 ** 40)
       for cfg in (tails_config(grid_size=size), obj_config(grid_size=size),
                   dict(PATHS, grid_size=size))),
+    *((tails_config(kind=kind, n=n), f"n must be an integer in [1, 16777216] for {kind}",
+       f"{kind}-n-{n}")
+      for n in (2 ** 24 + 1, 2 ** 62) for kind in ("tails", "tail-equivalence")),
     (lemma_config(lam=101), "lemma_checks.lam must lie in (0, 100]", "lam-101"),
     (lemma_config(lam=1e300), "lemma_checks.lam must lie in (0, 100]", "lam-1e300"),
 ]
@@ -177,6 +180,12 @@ class TestValidate:
                              [pytest.param(c, m, id=name) for c, m, name in CAPPED_CONFIGS])
     def test_caps_name_their_key(self, config, message):
         assert validate(config) == [message]
+
+    @pytest.mark.parametrize("config", [breiman_config(n=2 ** 62), obj_config(n=2 ** 62)],
+                             ids=["breiman", "one-big-jump"])
+    def test_chunked_kinds_take_any_n(self, config):
+        # they reduce per chunk and hold nothing of length n
+        assert validate(config) == []
 
     @pytest.mark.parametrize("config", [
         breiman_config(breiman={"alpha": 2 ** 64, "y": {"kind": "const", "value": 2.0}}),

@@ -67,6 +67,15 @@ class TestBigJumps:
         se = math.sqrt(0.125 * 0.875 / len(radii))
         assert abs(p - 4.0 ** -1.5) < 3 * se
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_pareto_radii_into_out_bit_equal(self, alpha):
+        want = (1.0 - substream(3, 1, JUMP_STREAM).random((37, 5))) ** (-1.0 / alpha)
+        allocated = levy_sim._pareto_radii(substream(3, 1, JUMP_STREAM), alpha, (37, 5))
+        out = np.full((37, 5), np.nan)
+        got = levy_sim._pareto_radii(substream(3, 1, JUMP_STREAM), alpha, out=out)
+        assert got is out
+        assert np.array_equal(allocated, want) and np.array_equal(out, want)
+
     def test_times_sorted_in_unit_interval(self):
         m = pure_jump_model(lam=4.0)
         ts, sizes = simulate_big_jumps(m, SimConfig(16, 11, 3))
@@ -344,6 +353,40 @@ class TestOneJumpIntegral:
         grid = np.linspace(0, 1, 9)
         x = CadlagPath(grid, np.sin(grid)[:, None])
         assert sup_norm(one_jump_integral(y, x)) == 0.0
+
+
+class TestOutArrays:
+    """The grid kernels' ``out=`` forms equal their allocating forms bit for
+    bit, whatever the buffer held before (scratch buffers hold stale values)."""
+
+    @pytest.mark.parametrize("spec", [
+        ExpOUIntegrand(rate=2.0, vol=0.3, initial=1.5), ExpOUIntegrand(rate=0.0, vol=0.4),
+        ConstantIntegrand([2.0]), DeterministicIntegrand(scale=1.0, rate=-1.0)])
+    def test_integrand_values(self, spec):
+        grid = np.linspace(0.0, 1.0, 65)
+        z = substream(4, 0, INTEGRAND_STREAM).standard_normal((9, 64))
+        want = levy_sim._integrand_values(spec, grid, z if isinstance(spec, ExpOUIntegrand)
+                                          else None)
+        want = np.broadcast_to(want, (9, 65, 1))
+        out = np.full((9, 65, 1), np.nan)
+        got = levy_sim._integrand_values(spec, np.broadcast_to(grid, (9, 65)), z, out=out)
+        assert got is out and np.array_equal(out, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    def test_ou_exponent(self, rate):
+        grid = np.linspace(0.0, 1.0, 33)
+        z = substream(4, 1, INTEGRAND_STREAM).standard_normal((5, 32))
+        out = np.full((5, 33), np.nan)
+        assert levy_sim._ou_exponent(rate, 0.3, grid, z, out) is out
+        assert np.array_equal(out, levy_sim._ou_exponent(rate, 0.3, grid, z))
+
+    @pytest.mark.parametrize("diffusion, drift", [(0.5, 0.3), (0.0, 0.3), (0.5, 0.0)])
+    def test_gaussian_walk(self, diffusion, drift):
+        m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[diffusion]], drift=[drift])
+        z = substream(4, 2, GAUSS_STREAM).standard_normal((6, 40, 1))
+        out = np.full((6, 41, 1), np.nan)
+        assert levy_sim._gaussian_walk(m, z, out) is out
+        assert np.array_equal(out, levy_sim._gaussian_walk(m, z))
 
 
 class TestBatchFunctionals:

@@ -1,6 +1,10 @@
+import threading
+
+import numpy as np
 import pytest
 
-from bigjump._rng import AUX_STREAM, chunks, rekey, substream
+from bigjump import _rng
+from bigjump._rng import AUX_STREAM, chunks, rekey, scratch, substream
 
 
 @pytest.mark.parametrize("n, size", [(1, 4), (3, 4), (4, 4), (10, 4), (1000, 64)])
@@ -44,3 +48,24 @@ def test_rejects_keys_that_would_alias(index, tag):
 def test_accepts_the_edges_of_the_key_range():
     top = substream(5, 2 ** 61 - 1, 7).random(4)
     assert rekey(substream(5), 5, 2 ** 61 - 1, 7).random(4).tolist() == top.tolist()
+
+
+def test_scratch_reuses_and_grows():
+    a = scratch("test.a", (4, 3))
+    assert a.shape == (4, 3) and a.flags.c_contiguous
+    assert np.shares_memory(scratch("test.a", 5), a)  # fits: the same buffer
+    grown = scratch("test.a", 13)
+    assert not np.shares_memory(grown, a) and np.shares_memory(scratch("test.a", 2), grown)
+    assert scratch("test.a", 2, bool).dtype == bool  # another dtype: a new buffer
+
+
+def test_scratch_is_per_thread():
+    views = chunks(40, 4, lambda i, start, stop: (threading.get_ident(),
+                                                  scratch("test.b", stop - start)), threads=2)
+    for ident, view in views:
+        assert all(np.shares_memory(view, v) == (ident == i) for i, v in views)
+
+
+def test_one_thread_chunks_drops_its_buffers():
+    chunks(3, 1, lambda i, start, stop: scratch("test.c", 1000).fill(1.0))
+    assert "test.c" not in vars(_rng._buffers)
