@@ -26,16 +26,19 @@ calls ``fn(index, start, stop)`` on consecutive ranges covering [0, n) and
 returns the results in chunk order, so a merge over them is the same for any
 ``threads``.  The callers key their streams from the range as follows:
 
-- ``maximal_product_bound``: (seed, index, AUX_STREAM);
+- ``maximal_product_bound``: (seed, index, AUX_STREAM), read in row blocks
+  for Z and then again for Z~, in the order one draw of each fills them;
 - ``breiman_ratio``: (seed, index, AUX_STREAM) for X and
   (seed, index, AUX_STREAM + 1) for Y;
 - ``double_jump_trend``: one stream (seed, i, AUX_STREAM) per ``n_values``
-  entry i, read on through its chunks in order, so the entries, not the
-  chunks, are what it splits over threads (a ``chunks`` of size 1 over the
-  entries, each running its own chunks on one thread);
+  entry i, read on through its chunks and their row blocks in order, so the
+  entries, not the chunks, are what it splits over threads (a ``chunks`` of
+  size 1 over the entries, each running its own chunks on one thread);
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag; it
-  reads the integrand and Gaussian streams in row blocks, in the order one
-  draw over the whole batch fills them, so the block size moves no draw;
+  draws a batch's jumps whole (the jump stream holds every time before any
+  radius) and reads the integrand and Gaussian streams in row blocks, in the
+  order one draw over the whole batch fills them, so the block size moves no
+  draw;
 - ``one_big_jump_curve``: its screening blocks draw each replicate r from
   (seed, r, tag), so the split does not show in its counts.
 
@@ -48,7 +51,11 @@ The batch sampler (tails and tail-equivalence), ``breiman_ratio``, and
 thread keeps one buffer per name, grows it when a chunk needs more and hands
 out a view of it, so the chunks a thread runs draw and transform in place in
 the same pages instead of allocating (and page-faulting) fresh arrays each
-chunk.  A view holds stale values and is overwritten at the thread's next
+chunk.  The lemma checks and the batch sampler fill theirs one block of rows
+at a time (``levy_sim._row_blocks``), so an array padded to a chunk's most
+jumps, or spread over the grid, holds about ``levy_sim._BLOCK_ELEMENTS``
+values (one row, when a row alone holds more), whatever the jump count or
+grid.  A view holds stale values and is overwritten at the thread's next
 request under that name, so each name has one owner: the chunk function that
 uses it.  The buffers last as long as one ``chunks`` call: a pool thread's
 go with the pool, and a one-thread ``chunks`` drops the calling thread's
@@ -57,8 +64,8 @@ buffers when it returns, so no estimator's buffers outlive it.
 
 from __future__ import annotations
 
+import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -112,6 +119,10 @@ def chunks(n: int, size: int, fn: Callable[[int, int, int], object],
         raise ValueError(f"n must be >= 1, got {n}")
     spans = [(i, start, min(start + size, n)) for i, start in enumerate(range(0, n, size))]
     if threads > 1:
+        # imported here, since it brings in ``logging``: a one-thread run, and
+        # ``bigjump validate``, would pay for it at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda span: fn(*span), spans))
     try:
@@ -124,7 +135,7 @@ def scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
     """This thread's buffer ``name`` viewed as a C-contiguous array of
     ``shape`` and ``dtype``, reallocated only when it is too small (or of
     another dtype); its values are whatever the last user left there."""
-    size = int(np.prod(shape))
+    size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
     buf = vars(_buffers).get(name)
     if buf is None or buf.dtype != dtype or buf.size < size:
         buf = np.empty(size, dtype)

@@ -23,19 +23,22 @@ import numpy as np
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
                    rekey, scratch, substream)
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, _draw_jumps,
-                       _gaussian_walk, _integrand_values, _pareto_radii, _power_mean,
-                       batch_integral_functionals)
+                       _first_columns, _gaussian_walk, _integrand_values, _pareto_radii,
+                       _power_mean, _row_blocks, batch_integral_functionals)
 from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 
 # ``sampler(rng, out)`` fills the float array ``out`` with i.i.d. draws from
 # ``rng``, in C order, in place; its return value is ignored.  The estimators
-# pass their chunk's scratch buffers (``_rng.scratch``) as ``out``.
-BatchSampler = Callable[[np.random.Generator, np.ndarray], object]
+# pass their chunk's scratch buffers (``_rng.scratch``) as ``out``.  The
+# generator type is a string, since ``np.random.Generator`` would import
+# ``numpy.random`` at start-up, which ``bigjump validate`` never uses.
+BatchSampler = Callable[["np.random.Generator", np.ndarray], object]
 
 _CHUNK = 1 << 16
-# The lemma checks hold _CHUNK x (largest Poisson count) arrays per chunk: at
-# this rate a run of 131072 trials and reps peaks at 302 MB (at rate 1000 it
-# peaked at 2.48 GB before the chunks drew into reused buffers).
+# The lemma checks draw a chunk one block of rows at a time, but
+# ``maximal_product_bound`` keeps one factor per jump of a chunk between its
+# passes over Z and Z~: at this rate a run of 131072 trials and reps peaks at
+# 89 MB (303 MB when a chunk held whole (_CHUNK x most jumps) arrays).
 _MAX_LAM = 100.0
 
 
@@ -458,14 +461,12 @@ def one_big_jump_curve(model: LevyModel, integrand: Optional[IntegrandSpec],
 # Auxiliary bound checks
 # ---------------------------------------------------------------------------
 
-def _first_columns(counts: np.ndarray, kmax: int, name: str) -> np.ndarray:
-    """The (len(counts), kmax) mask of each row's first ``counts`` (at most
-    ``kmax``) columns, in this thread's boolean scratch buffer ``name``: row c
-    of a (kmax + 1, kmax) table per row, which is faster than comparing the
-    counts with every column."""
-    table = np.arange(kmax) < np.arange(kmax + 1)[:, None]
-    return np.take(table, counts, axis=0, mode="clip",
-                   out=scratch(name, (len(counts), kmax), bool))
+def _rows_with(a: np.ndarray, at_least: int = 1) -> int:
+    """How many rows of the 2-D boolean array ``a`` hold ``at_least`` True
+    values or more, counted from the flat positions of its True values: one
+    pass over ``a``, where ``np.count_nonzero(a, axis=1)`` reduces each short
+    row on its own at several times the cost."""
+    return int(np.count_nonzero(np.bincount(np.flatnonzero(a) // a.shape[1]) >= at_least))
 
 
 def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np.ndarray],
@@ -477,36 +478,57 @@ def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np
 
     Estimates lhs = P(sum_{k<=N} Y_k Z_k > x) and rhs = P(N max_k Y_k Z~_k > x)
     where (Z~_k) is an independent copy of (Z_k).  ``count_sampler(rng, b)``
-    returns a chunk's b counts N.  ``z_sampler`` fills a (b, most counts)
-    array in place (see ``BatchSampler``), once for Z and once for Z~.
-    ``y_builder(z, mask)`` must return the factor matrix (or a value that
-    broadcasts to it) computed from strict prefixes of its first argument only
-    (predictable construction), e.g. ``lambda z, mask: 1.0`` or a function of
-    the cumulative sums of earlier entries.  Z and Z~ live in the running
-    thread's scratch buffers, reused chunk after chunk; the entries beyond a
-    row's count are zeroed, and Z and Z~ become their products with the
-    factors in place.  The chunks run on
-    ``threads`` threads, with the same result.
+    returns a chunk's b counts N.  ``z_sampler`` fills a (rows, most counts)
+    array in place (see ``BatchSampler``), block after block of rows for Z and
+    then again for Z~, which reads the chunk's stream in the order one (b,
+    most counts) draw of Z and then one of Z~ would.  ``y_builder(z, mask)``
+    must return the factor matrix (or a value that broadcasts to it) computed
+    from strict prefixes of each row of its first argument only (predictable
+    construction), e.g. ``lambda z, mask: 1.0`` or a function of the
+    cumulative sums of earlier entries; it sees one block of rows at a time.
+
+    A block's Z and Z~ live in the running thread's scratch buffers, at most
+    ``levy_sim._BLOCK_ELEMENTS`` entries (``_row_blocks``), with the entries
+    beyond a row's count zeroed.  Between the passes over Z and over Z~, a
+    chunk keeps only its lhs count and the factors at its real entries (one
+    float per jump, so a chunk's memory still grows with its counts).  The
+    chunks run on ``threads`` threads, with the same result.
     """
     if x_level <= 0:
         raise ValueError("x_level must be positive")
 
     def hits(i: int, start: int, stop: int) -> tuple[int, int]:
         rng = substream(seed, i, AUX_STREAM)
-        b = stop - start
-        counts = np.asarray(count_sampler(rng, b))
+        counts = np.asarray(count_sampler(rng, stop - start))
         kmax = max(int(counts.max()), 1)
-        mask = _first_columns(counts, kmax, "mpb.mask")
-        off = np.logical_not(mask, out=scratch("mpb.off", (b, kmax), bool))
-        z, zt = scratch("mpb.z", (b, kmax)), scratch("mpb.zt", (b, kmax))
-        for draw in (z, zt):
-            z_sampler(rng, draw)
-            np.copyto(draw, 0.0, where=off)
-        y = y_builder(z, mask)
-        for prod in (zt, z):  # z last, since y may be a view of it
-            np.multiply(prod, y, out=prod, where=mask)
-        return (int(np.count_nonzero(z.sum(axis=1) > x_level)),
-                int(np.count_nonzero(counts * zt.max(axis=1) > x_level)))
+        blocks = list(_row_blocks(len(counts), kmax))
+        # where each row's real entries start in the flat factor array
+        first = np.concatenate([[0], np.cumsum(counts)])
+        factors = scratch("mpb.factors", int(first[-1]))
+
+        def draw(blk: slice) -> tuple[np.ndarray, np.ndarray]:
+            shape = (blk.stop - blk.start, kmax)
+            mask = _first_columns(counts[blk], kmax, "mpb.mask")
+            z = scratch("mpb.z", shape)
+            z_sampler(rng, z)
+            np.copyto(z, 0.0, where=np.logical_not(mask, out=scratch("mpb.off", shape, bool)))
+            return mask, z
+
+        lhs = rhs = 0
+        for blk in blocks:  # Z: the lhs, and the factors at the real entries
+            mask, z = draw(blk)
+            y = y_builder(z, mask)
+            factors[first[blk.start]:first[blk.stop]] = np.broadcast_to(y, z.shape)[mask]
+            np.multiply(z, y, out=z, where=mask)  # after the copy: y may be a view of z
+            lhs += np.count_nonzero(z.sum(axis=1) > x_level)
+        for blk in blocks:  # Z~, times Z's factors
+            mask, zt = draw(blk)
+            zt[mask] *= factors[first[blk.start]:first[blk.stop]]
+            # N max_k Y_k Z~_k > x exactly when some N Y_k Z~_k > x, since
+            # rounding N * z never decreases in z
+            zt *= counts[blk, None]
+            rhs += _rows_with(np.greater(zt, x_level, out=mask))
+        return int(lhs), rhs
 
     lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits, threads), axis=0)
     return (TailEstimate(x_level, n_trials, int(lhs_hits)),
@@ -534,8 +556,9 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
     under the closed-form rate, which stays meaningful when no hits occur.
     Each entry of ``n_values`` reads its own stream in order, so the entries,
     not their chunks, run on ``threads`` threads, with the same result.  A
-    chunk's (reps, most jumps) radii and masks are the running thread's
-    scratch buffers, reused chunk after chunk and entry after entry.
+    chunk draws its counts and then its radii one block of rows at a time
+    (``_row_blocks``), into the running thread's scratch buffers; so its
+    memory does not grow with ``lam``.
     """
     if not 0.5 < beta < 1.0:
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
@@ -549,14 +572,18 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
         rng = substream(seed, idx, AUX_STREAM)
 
         def chunk_hits(i: int, start: int, stop: int) -> int:
-            # the chunks read on through this entry's one stream, in order
+            # the chunks, and their blocks, read on through this entry's one
+            # stream, in order
             counts = rng.poisson(lam, stop - start)
             kmax = max(int(counts.max()), 1)
-            shape = (stop - start, kmax)
-            radii = _pareto_radii(rng, measure.alpha, out=scratch("djt.radii", shape))
-            above = np.greater(radii, thr, out=scratch("djt.above", shape, bool))
-            above &= _first_columns(counts, kmax, "djt.mask")
-            return int(np.count_nonzero(np.count_nonzero(above, axis=1) >= 2))
+            hits = 0
+            for blk in _row_blocks(len(counts), kmax):
+                shape = (blk.stop - blk.start, kmax)
+                radii = _pareto_radii(rng, measure.alpha, out=scratch("djt.radii", shape))
+                above = np.greater(radii, thr, out=scratch("djt.above", shape, bool))
+                above &= _first_columns(counts[blk], kmax, "djt.mask")
+                hits += _rows_with(above, 2)
+            return hits
 
         hits = sum(chunks(reps, _CHUNK, chunk_hits))
         p_true = closed / n

@@ -33,13 +33,15 @@ from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure, _grid_index
 
 
-# Every sampler holds all of a replicate's jumps in memory: at this rate, n = 8192
-# and exp-OU with diffusion 0.5, tails peaks at 0.63 GB and tail-equivalence at
-# 1.22 GB, at grid 512 and at grid 4096 alike.
+# Every sampler holds all of a replicate's jumps in memory, and the batch sampler
+# the jump draws of a whole batch: at this rate, n = 8192 and exp-OU with
+# diffusion 0.5, tails and tail-equivalence peak at 246 MB, at grid 512 and at
+# grid 4096 alike (0.63 and 1.22 GB when the batch's jump logic ran on whole
+# (batch x most jumps) arrays).
 _MAX_INTENSITY = 1e3
 # The samplers hold grid_size + 1 values per replicate, the batch sampler per row of
 # a block: at this grid, n = 8192, intensity 1 and exp-OU with diffusion 0.5, tails
-# and tail-equivalence peak at 50 and 53 MB.
+# and tail-equivalence peak at 39 MB.
 _MAX_GRID_SIZE = 4096
 # tails and tail-equivalence hold the batch sampler's n endpoints (and running
 # sups): at this n, grid 512, intensity 1 and a constant integrand, tails peaks
@@ -413,8 +415,32 @@ def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 # ---------------------------------------------------------------------------
 
 _BATCH = 8192
-# Elements per (rows x grid) array of one row block of a batch: 2 MB of floats
-_BLOCK_ELEMENTS = 2 ** 18
+# Elements per array of one row block, 512 kB of floats.  Every per-chunk
+# computation that is padded to a chunk's most jumps, or spread over the grid,
+# runs one block of rows at a time (``_row_blocks``), in the running thread's
+# scratch buffers, so its working set is a few such arrays whatever the jump
+# rate and the grid.  At 2**18 a tail-equivalence run of 30000 replicates (grid
+# 512, exp-OU, diffusion 0.5) peaks 6 MB higher; smaller blocks cost more numpy
+# calls per replicate, which shows most at --threads 2.
+_BLOCK_ELEMENTS = 2 ** 16
+
+
+def _row_blocks(n: int, width: int):
+    """Slices of consecutive rows covering [0, n): ``_BLOCK_ELEMENTS //
+    (width + 1)`` rows each (at least one), for arrays of ``width`` or
+    ``width + 1`` columns."""
+    rows = max(1, _BLOCK_ELEMENTS // (width + 1))
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
+
+def _first_columns(counts: np.ndarray, kmax: int, name: str) -> np.ndarray:
+    """The (len(counts), kmax) mask of each row's first ``counts`` (at most
+    ``kmax``) columns, in this thread's boolean scratch buffer ``name``: row c
+    of a (kmax + 1, kmax) table per row, which is faster than comparing the
+    counts with every column."""
+    table = np.arange(kmax) < np.arange(kmax + 1)[:, None]
+    return np.take(table, counts, axis=0, mode="clip",
+                   out=scratch(name, (len(counts), kmax), bool))
 
 
 def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
@@ -433,7 +459,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     before the jump (predictable; the grid bias vanishes with grid_size).
     ``t`` must be a grid point.
 
-    The jump part is kept per replicate, (batch, most jumps) arrays, never on
+    The jump part is kept per replicate, (rows, most jumps) arrays, never on
     the grid.  Each replicate's jumps are sorted once, by time, and summed in
     that one order for every value read.  The running sum J is piecewise
     constant on the grid, and the grid sup is the maximum over J's constant
@@ -441,88 +467,99 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     rounding x + J is monotone in x).  The cost grows with the batch size
     times its largest jump count, not times the grid size.
 
-    The integrand and the continuous part live on the grid only one block of
-    a batch's rows at a time, ``_BLOCK_ELEMENTS // (grid_size + 1)`` rows (at
-    least one), and each block keeps only per-replicate values.  The batch's
+    A batch's jump times, radii and directions are drawn for the whole batch,
+    since its jump stream holds every time before any radius.  Everything
+    after the draws runs one block of rows at a time (``_row_blocks``), at
+    most ``_BLOCK_ELEMENTS // (width + 1)`` rows with ``width`` the batch's
+    most jumps, or the grid size when the integrand or the continuous part
+    lives on the grid: the jump mask and sort, the cells and stretches, the
+    integrand at the jumps, the sums, and the endpoint and sup.  The batch's
     integrand and Gaussian streams are read on block after block, which takes
     their normals in the order one (batch x grid) draw fills them, so the
-    block size changes no bit, and a batch's memory does not grow with the grid.
-    A block's normals, OU exponent, Gaussian walk and continuous sum are drawn
-    and transformed in place in the running thread's scratch buffers
-    (``_rng.scratch``), which every block and batch on that thread reuses.
+    block size changes no bit.  A block's arrays are the running thread's
+    scratch buffers (``_rng.scratch``), which every block and batch on that
+    thread reuses, and the draws themselves are parked and overwritten in
+    place; so a batch's memory grows with its jump count only through the
+    draws, and not at all with the grid.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
     it = _grid_index(t, grid_size)
     has_cont = model.diffusion.any() or model.drift.any()
     exp_ou = isinstance(integrand, ExpOUIntegrand)
+    on_grid = exp_ou or has_cont  # whether a block builds (rows x grid) arrays
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    block = max(1, _BLOCK_ELEMENTS // (grid_size + 1))
+    y_line = None if exp_ou else _integrand_values(integrand, grid)[:, 0]
     endpoints = np.empty(n)
     sups = np.empty(n) if running_sup else None
 
     def batch(batch_index: int, start: int, stop: int) -> None:
         b = stop - start
-        rows = np.arange(b)[:, None]
         rng = substream(seed, batch_index, JUMP_STREAM)
         counts = rng.poisson(model.big_jump_intensity, b)
         kmax = max(int(counts.max()), 1)
-        mask = np.arange(kmax)[None, :] < counts[:, None]
-        jt, jz = _jump_marks(model, rng, (b, kmax))
-        jz = np.where(mask, jz[..., 0], 0.0)
-        jt = np.where(mask, jt, 2.0)  # parked beyond the horizon
-        # time order; the parked columns sort last, so ``mask`` still holds
-        order = np.argsort(jt, axis=1)
-        jt = np.take_along_axis(jt, order, axis=1)
-        jz = np.take_along_axis(jz, order, axis=1)
-
-        # A jump at tau counts on the grid from the first grid point >= tau
-        # on, its cell.  For the grid sup, the jump sum is constant from each
-        # cell's last jump up to the next cell with jumps; stretch 0 runs from
-        # time 0 with sum 0 (jump cells are >= 1, since jump times are > 0, so
-        # a row's stretch starts strictly increase)
-        cell = np.minimum(np.ceil(jt * grid_size).astype(int), grid_size + 1)
-        if running_sup:
-            last = np.hstack([cell[:, 1:] != cell[:, :-1], np.ones((b, 1), dtype=bool)])
-            stretch = np.hstack([np.ones((b, 1), dtype=bool), last & (cell <= it)])
-            stretch_wc = np.zeros((b, kmax + 1))
-            wc_at = 0.0
-            if has_cont:
-                # the grid step holding each jump, to interpolate between its ends
-                seg = np.clip((jt * grid_size).astype(int), 0, grid_size - 1)
-                frac = jt * grid_size - seg
-                wc_at = np.zeros((b, kmax))
-
-        # integrand at the jump times; exp-OU takes its last grid sample
-        # before the jump, read in the row blocks below
-        if exp_ou:
-            pos = np.clip((jt * grid_size).astype(int), 0, grid_size)
-            y_jump = np.empty((b, kmax))
-        else:
-            y_line = _integrand_values(integrand, grid)[:, 0]
-            y_jump = _integrand_values(integrand, np.where(mask, jt, 0.0))[..., 0]
-        # continuous part: left-endpoint sums wc of y against the Gaussian
-        # walk xc (identically 0 without diffusion and drift), at t, at its
-        # stretch maxima and interpolated at the jump times
-        wc_end = np.zeros(b) if has_cont else 0.0
-        if exp_ou or has_cont:
+        times, sizes = _jump_marks(model, rng, (b, kmax))
+        sizes = sizes[..., 0]
+        if on_grid:
             y_rng = substream(seed, batch_index, INTEGRAND_STREAM)
             x_rng = substream(seed, batch_index, GAUSS_STREAM)
-            for lo in range(0, b, block):
-                blk = slice(lo, min(lo + block, b))
-                r = blk.stop - lo
-                # a block's (rows x grid) arrays are this thread's scratch
-                # buffers, filled in place: the integrand's normals, once used,
-                # give their buffer to the Gaussian ones
-                if exp_ou:
-                    z = y_rng.standard_normal(out=scratch("batch.z", (r, grid_size)))
-                    y_grid = _integrand_values(integrand, grid, z,
-                                               scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
-                    y_jump[blk] = np.take_along_axis(y_grid, pos[blk], axis=1)
-                else:
-                    y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
-                if not has_cont:
-                    continue
+        for blk in _row_blocks(b, max(grid_size if on_grid else 0, kmax)):
+            r = blk.stop - blk.start
+            rows = np.arange(r)[:, None]
+            shape, wide = (r, kmax), (r, kmax + 1)
+            mask = _first_columns(counts[blk], kmax, "batch.mask")
+            off = np.logical_not(mask, out=scratch("batch.off", shape, bool))
+            # time order, with the padding parked beyond the horizon in the
+            # draws themselves: the parked columns sort last, so ``mask`` holds
+            np.copyto(times[blk], 2.0, where=off)
+            order = np.argsort(times[blk], axis=1)
+            order += rows * kmax  # flat indices into the block's rows
+            jt = np.take(times[blk], order, mode="clip", out=scratch("batch.jt", shape))
+            jz = np.take(sizes[blk], order, mode="clip", out=scratch("batch.jz", shape))
+            np.copyto(jz, 0.0, where=off)
+            # the block's rows of the draws, and ``order``, are free from here
+            # on and hold later arrays
+            jg = np.multiply(jt, grid_size, out=sizes[blk])
+
+            # A jump at tau counts on the grid from the first grid point >= tau
+            # on, its cell.  For the grid sup, the jump sum is constant from
+            # each cell's last jump up to the next cell with jumps; stretch 0
+            # runs from time 0 with sum 0 (jump cells are >= 1, since jump
+            # times are > 0, so a row's stretch starts strictly increase)
+            cell = np.ceil(jg, out=order, casting="unsafe")
+            np.minimum(cell, grid_size + 1, out=cell)
+            before = np.less_equal(cell, it, out=scratch("batch.before", shape, bool))
+            if running_sup:
+                stretch = scratch("batch.stretch", wide, bool)
+                stretch[:, 0] = stretch[:, kmax] = True
+                np.not_equal(cell[:, 1:], cell[:, :-1], out=stretch[:, 1:kmax])
+                stretch[:, 1:] &= before
+                stretch_wc = scratch("batch.stretch_wc", wide)
+                stretch_wc.fill(0.0)
+                wc_at = 0.0
+
+            # integrand at the jump times; exp-OU takes its last grid sample
+            # before the jump, read from the block's grid values below
+            if not exp_ou:
+                at = np.multiply(jt, mask, out=times[blk])  # jt at the jumps, else 0
+                y_jump = _integrand_values(integrand, at)[..., 0]
+            # continuous part: left-endpoint sums wc of y against the Gaussian
+            # walk xc (identically 0 without diffusion and drift), at t, at its
+            # stretch maxima and interpolated at the jump times.  The block's
+            # (rows x grid) arrays are filled in place: the integrand's
+            # normals, once used, give their buffer to the Gaussian ones
+            wc_end = 0.0
+            if exp_ou:
+                pos = scratch("batch.pos", shape, np.intp)
+                np.copyto(pos, jg, casting="unsafe")
+                np.clip(pos, 0, grid_size, out=pos)
+                z = y_rng.standard_normal(out=scratch("batch.z", (r, grid_size)))
+                y_grid = _integrand_values(integrand, grid, z,
+                                           scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
+                y_jump = np.take_along_axis(y_grid, pos, axis=1)
+            elif has_cont:
+                y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
+            if has_cont:
                 z = x_rng.standard_normal(out=scratch("batch.z", (r, grid_size, 1)))
                 xc = _gaussian_walk(model, z, scratch("batch.xc", (r, grid_size + 1, 1)))[..., 0]
                 wc = scratch("batch.wc", (r, grid_size + 1))
@@ -530,37 +567,44 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
                 dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
                 dw *= y_grid[:, :-1]
                 np.cumsum(dw, axis=1, out=dw)
-                wc_end[blk] = wc[:, it]
-                if not running_sup:
-                    continue
-                brows = rows[:r]
-                starts = np.hstack([np.zeros((r, 1), dtype=int), cell[blk]]) + brows * (it + 1)
-                stretch_wc[blk][stretch[blk]] = np.maximum.reduceat(
-                    wc[:, : it + 1].ravel(), starts[stretch[blk]])
-                bseg = seg[blk]
-                xc_at = xc[brows, bseg] + frac[blk] * (xc[brows, bseg + 1] - xc[brows, bseg])
-                wc_at[blk] = wc[brows, bseg] + y_grid[brows, bseg] * (xc_at - xc[brows, bseg])
-        wz = np.where(mask, y_jump * jz, 0.0)
+                wc_end = wc[:, it]
+                if running_sup:
+                    starts = np.hstack([np.zeros((r, 1), dtype=int), cell]) + rows * (it + 1)
+                    stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
+                                                              starts[stretch])
+                    # the grid step holding each jump, to interpolate between its ends
+                    seg = scratch("batch.seg", shape, np.intp)
+                    np.copyto(seg, jg, casting="unsafe")
+                    np.clip(seg, 0, grid_size - 1, out=seg)
+                    frac = np.subtract(jg, seg, out=jg)
+                    xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
+                    wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
 
-        # jump part: cum[:, k] is the sum of the first k jumps in time order,
-        # so the grid value is cum at the jumps seen so far
-        cum = np.zeros((b, kmax + 1))
-        np.cumsum(wz, axis=1, out=cum[:, 1:])
-        seen = np.count_nonzero(cell <= it, axis=1)
-        endpoints[start:stop] = wc_end + cum[rows[:, 0], seen]
-        if not running_sup:
-            return
+            # jump part: cum[:, k] is the sum of the first k jumps in time
+            # order, so the grid value is cum at the jumps seen so far
+            wz = np.multiply(y_jump, jz, out=jz)
+            np.copyto(wz, 0.0, where=off)
+            cum = scratch("batch.cum", wide)
+            cum[:, 0] = 0.0
+            np.cumsum(wz, axis=1, out=cum[:, 1:])
+            out = slice(start + blk.start, start + blk.stop)
+            endpoints[out] = wc_end + cum[rows[:, 0], np.count_nonzero(before, axis=1)]
+            if not running_sup:
+                continue
 
-        sup_vals = np.max(np.where(stretch, stretch_wc + cum, -np.inf), axis=1)
-        # values on both sides of each jump between grid points: the
-        # interpolated continuous part plus the jump sums
-        value_at = wc_at + cum[:, 1:]
-        ok = jt <= t
-        post = np.where(ok, value_at, -np.inf)
-        pre = np.where(ok, value_at - wz, -np.inf)
-        sup_vals = np.maximum(sup_vals, post.max(axis=1))
-        sup_vals = np.maximum(sup_vals, pre.max(axis=1))
-        sups[start:stop] = np.maximum(sup_vals, 0.0)  # path starts at 0
+            stretch_wc += cum
+            np.copyto(stretch_wc, -np.inf, where=np.logical_not(stretch, out=stretch))
+            sup = stretch_wc.max(axis=1)
+            # values on both sides of each jump between grid points: the
+            # interpolated continuous part plus the jump sums
+            post = np.add(wc_at, cum[:, 1:], out=times[blk])
+            pre = np.subtract(post, wz, out=wz)
+            late = np.greater(jt, t, out=off)
+            np.copyto(post, -np.inf, where=late)
+            np.copyto(pre, -np.inf, where=late)
+            np.maximum(sup, post.max(axis=1), out=sup)
+            np.maximum(sup, pre.max(axis=1), out=sup)
+            np.maximum(sup, 0.0, out=sups[out])  # path starts at 0
 
     chunks(n, _BATCH, batch, threads)
     return endpoints, sups

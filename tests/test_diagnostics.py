@@ -519,6 +519,20 @@ class TestDoubleJumpTrend:
         with pytest.raises(ValueError, match="beta must lie"):
             double_jump_trend(m, 1.0, 0.5, [100], 10, 1)
 
+    def test_memory_bounded_in_lam(self):
+        # a chunk's radii are drawn one block of rows at a time, so 50 times
+        # the jumps per replicate do not take 50 times the memory
+        m = RegVarMeasure(1.5, 1.0, [([1.0], 1.0)])
+        peaks = []
+        for lam in (1.0, 50.0):
+            tracemalloc.start()
+            try:
+                double_jump_trend(m, lam, 0.75, [100], 1 << 16, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
     def test_threads_return_the_same_points(self, monkeypatch):
         # three chunks per entry, and more entries than threads, each long
         # enough that the two threads overlap
@@ -609,10 +623,17 @@ def _prefix_reference(z, mask):
     return 1.0 + np.minimum(1.0, prev / 10.0)
 
 
+# Row budgets of the lemma checks' blocks: the default, blocks with a partial
+# last one, one row per block at a chunk's most jumps of 9 (10 // (9 + 1)), and
+# a budget below any chunk's most jumps plus one, which also gives one row.
+_BUDGETS = (levy_sim._BLOCK_ELEMENTS, 997, 10, 1)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 class TestScratchReductions:
-    """The estimators draw into per-thread scratch buffers; every count must
-    equal a per-chunk allocating reference's, at any thread count."""
+    """The estimators draw into per-thread scratch buffers, one block of rows
+    at a time; every count must equal a per-chunk allocating reference's, at
+    any thread count and row budget."""
 
     def test_breiman_ratio(self, monkeypatch, threads):
         monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
@@ -633,10 +654,13 @@ class TestScratchReductions:
         builder, reference_builder = builders
         want, kmax = max_product_reference(2.0, 1.2, reference_builder, _N, 6.0, 31)
         assert _grows_and_shrinks(kmax)
-        got = maximal_product_bound(
-            lambda rng, size: rng.poisson(2.0, size), builder,
-            lambda rng, out: levy_sim._pareto_radii(rng, 1.2, out=out), _N, 6.0, 31, threads)
-        assert got == want
+        for budget in _BUDGETS:
+            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+            got = maximal_product_bound(
+                lambda rng, size: rng.poisson(2.0, size), builder,
+                lambda rng, out: levy_sim._pareto_radii(rng, 1.2, out=out), _N, 6.0, 31,
+                threads)
+            assert got == want
         assert 0 < want[0].hits < want[1].hits < _N
 
     def test_double_jump_trend(self, monkeypatch, threads):
@@ -644,7 +668,9 @@ class TestScratchReductions:
         m = RegVarMeasure(1.5, 2.0, [([1.0], 1.0)])
         want, kmax = double_jump_reference(m, 2.0, 0.75, [10, 100], _N, 41)
         assert _grows_and_shrinks(kmax)
-        assert double_jump_trend(m, 2.0, 0.75, [10, 100], _N, 41, threads) == want
+        for budget in _BUDGETS:
+            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+            assert double_jump_trend(m, 2.0, 0.75, [10, 100], _N, 41, threads) == want
         assert all(p.mc_value > 0 for p in want)
 
 

@@ -574,15 +574,23 @@ class TestBatchDifferential:
                      id="many-jumps-per-cell-exp-ou"),
         pytest.param(LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], drift=[1.0]),
                      ConstantIntegrand([2.0]), 0.5, 64, id="pure-drift"),
+        # a batch's most jumps (about 360) exceed the grid size, so they set
+        # the rows of a block, with or without arrays on the grid
+        pytest.param(LevyModel(1, 300.0, 1.5, [([1.0], 0.6), ([-1.0], 0.4)]),
+                     DeterministicIntegrand(1.0, -1.0), 1.0, 64, id="high-intensity"),
+        pytest.param(LevyModel(1, 300.0, 1.5, [([1.0], 0.6), ([-1.0], 0.4)],
+                               diffusion=[[0.2]]),
+                     ExpOUIntegrand(2.0, 0.3, 1.0), 0.5, 64, id="high-intensity-exp-ou"),
     ])
     def test_bit_equal_to_dense(self, monkeypatch, batch, model, spec, t, grid_size):
         if batch is not None:
             monkeypatch.setattr(levy_sim, "_BATCH", batch)
         n, seed = 2500, 21
         want = dense_batch_reference(model, spec, t, n, seed, grid_size)
-        # one row block per batch, then blocks of 97 rows and a partial last
-        # block (2500 = 25 * 97 + 75; batches of 700 and a last one of 400),
-        # then a budget below one row, which gives blocks of one row
+        # the default row blocks, then blocks of 97 rows and a partial last
+        # block (2500 = 25 * 97 + 75; batches of 700 and a last one of 400)
+        # where the grid is wider than a batch's most jumps, then a budget
+        # below one row, which gives blocks of one row
         for budget in (levy_sim._BLOCK_ELEMENTS, 97 * (grid_size + 1), grid_size):
             monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
             got = batch_integral_functionals(model, spec, t, n, seed, grid_size)
