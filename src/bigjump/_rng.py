@@ -34,11 +34,10 @@ returns the results in chunk order, so a merge over them is the same for any
   entry i, read on through its chunks and their row blocks in order, so the
   entries, not the chunks, are what it splits over threads (a ``chunks`` of
   size 1 over the entries, each running its own chunks on one thread);
-- ``batch_integral_functionals``: (seed, index, tag) for each noise tag; it
-  draws a batch's jumps whole (the jump stream holds every time before any
-  radius) and reads the integrand and Gaussian streams in row blocks, in the
-  order one draw over the whole batch fills them, so the block size moves no
-  draw;
+- ``batch_integral_functionals``: (seed, index, tag) for each noise tag, read
+  in row blocks in the order one draw over the whole batch fills them, so the
+  block size moves no draw (a block reads its jump times, radii and direction
+  uniforms where they lie in the jump stream: ``levy_sim._block_marks``);
 - ``one_big_jump_curve``: its screening blocks draw each replicate r from
   (seed, r, tag), so the split does not show in its counts.
 

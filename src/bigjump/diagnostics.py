@@ -196,9 +196,11 @@ def tail_equivalence(model: LevyModel, integrand: IntegrandSpec, t: float,
     replicate batches run on ``threads`` threads, with the same result."""
     if any(u <= 0 for u in levels):
         raise ValueError("levels must be positive")
-    endpoint, runsup = batch_integral_functionals(model, integrand, t, n, seed,
-                                                  grid_size=grid_size, threads=threads)
-    return [_delta_ratio(float(u), *_joint_counts(runsup, endpoint, u), n) for u in levels]
+    counts = batch_integral_functionals(
+        model, integrand, t, n, seed,
+        lambda endpoint, runsup: [_joint_counts(runsup, endpoint, u) for u in levels],
+        grid_size=grid_size, threads=threads)
+    return [_delta_ratio(float(u), *total, n) for u, total in zip(levels, np.sum(counts, axis=0))]
 
 
 def analytic_prediction(measure: RegVarMeasure, integrand: IntegrandSpec,

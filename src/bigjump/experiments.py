@@ -306,16 +306,17 @@ _RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "
 # ---------------------------------------------------------------------------
 
 def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
-    endpoint, _ = batch_integral_functionals(spec.model, spec.integrand, spec.t, spec.n,
-                                             spec.seed, grid_size=spec.grid_size,
-                                             threads=threads, running_sup=False)
+    hits = np.sum(batch_integral_functionals(
+        spec.model, spec.integrand, spec.t, spec.n, spec.seed,
+        lambda endpoint, _: [np.count_nonzero(endpoint > u) for u in spec.levels],
+        grid_size=spec.grid_size, threads=threads, running_sup=False), axis=0)
     measure = spec.model.induced_measure()
     # the limit measure is homogeneous: one prediction at level 1 serves all
     mass = analytic_prediction(measure, spec.integrand, spec.t, 1.0, spec.grid_size)
     rows = []
-    for u in spec.levels:
+    for u, k in zip(spec.levels, hits):
         pred = mass * float(u) ** -measure.alpha
-        est = TailEstimate(float(u), spec.n, int(np.count_nonzero(endpoint > u)))
+        est = TailEstimate(float(u), spec.n, int(k))
         ratio = est.p_hat / pred if pred > 0 else None
         rows.append([u, pred, est.p_hat, est.stderr, est.hits, spec.n, ratio])
     return [_write_rows(out, "tails", digest, spec.format,

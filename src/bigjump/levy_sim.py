@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,19 +33,18 @@ from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure, _grid_index
 
 
-# Every sampler holds all of a replicate's jumps in memory, and the batch sampler
-# the jump draws of a whole batch: at this rate, n = 8192 and exp-OU with
-# diffusion 0.5, tails and tail-equivalence peak at 246 MB, at grid 512 and at
-# grid 4096 alike (0.63 and 1.22 GB when the batch's jump logic ran on whole
-# (batch x most jumps) arrays).
+# Every sampler holds all of a replicate's jumps in memory, the batch sampler
+# those of one row block: at this rate, n = 8192, grid 512 and exp-OU with
+# diffusion 0.5, tails and tail-equivalence peak at 43 and 47 MB, 4 and 9 MB
+# above intensity 1, for the block's (rows x most jumps) arrays.
 _MAX_INTENSITY = 1e3
 # The samplers hold grid_size + 1 values per replicate, the batch sampler per row of
 # a block: at this grid, n = 8192, intensity 1 and exp-OU with diffusion 0.5, tails
-# and tail-equivalence peak at 39 MB.
+# and tail-equivalence peak at 38 MB.
 _MAX_GRID_SIZE = 4096
-# tails and tail-equivalence hold the batch sampler's n endpoints (and running
-# sups): at this n, grid 512, intensity 1 and a constant integrand, tails peaks
-# at 182 MB and tail-equivalence at 342 MB.
+# tails and tail-equivalence reduce each batch to counts, so n sets their time, not
+# their memory: at this n, grid 512, intensity 1 and a constant integrand they peak
+# at 40 and 41 MB (39 and 40 at n = 8192), in 8 and 15 s at --threads 1 (2 vCPUs).
 _MAX_N = 2 ** 24
 
 
@@ -284,22 +283,24 @@ def _integrand_values(spec: IntegrandSpec, grid: np.ndarray,
     """Integrand values (..., m, d) at the times ``grid`` (..., m); an exp-OU
     integrand also needs its standard normals ``z`` (..., m - 1), against
     whose leading axes a one-dimensional ``grid`` broadcasts.  The values are
-    written into ``out`` when given, which an exp-OU integrand fills in place."""
+    computed in place in ``out`` when given (``grid`` may be ``out[..., 0]``
+    for a constant or deterministic integrand)."""
     if isinstance(spec, ExpOUIntegrand):
         u = _ou_exponent(spec.rate, spec.vol, grid, z, None if out is None else out[..., 0])
         np.exp(u, out=u)
         u *= spec.initial
         return u[..., None] if out is None else out
     if isinstance(spec, ConstantIntegrand):
-        values = np.tile(spec.value, grid.shape + (1,))
-    elif isinstance(spec, DeterministicIntegrand):
-        values = (spec.scale * np.exp(spec.rate * grid))[..., None]
-    else:
+        if out is None:
+            return np.tile(spec.value, grid.shape + (1,))
+        out[...] = spec.value
+        return out
+    if not isinstance(spec, DeterministicIntegrand):
         raise ValueError(f"unknown integrand spec: {type(spec).__name__}")
-    if out is None:
-        return values
-    out[...] = values
-    return out
+    y = np.multiply(grid, spec.rate, out=None if out is None else out[..., 0])
+    np.exp(y, out=y)
+    y *= spec.scale
+    return y[..., None] if out is None else out
 
 
 def _power_mean(spec: IntegrandSpec, alpha: float, grid: np.ndarray) -> np.ndarray:
@@ -415,13 +416,11 @@ def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 # ---------------------------------------------------------------------------
 
 _BATCH = 8192
-# Elements per array of one row block, 512 kB of floats.  Every per-chunk
-# computation that is padded to a chunk's most jumps, or spread over the grid,
-# runs one block of rows at a time (``_row_blocks``), in the running thread's
-# scratch buffers, so its working set is a few such arrays whatever the jump
-# rate and the grid.  At 2**18 a tail-equivalence run of 30000 replicates (grid
-# 512, exp-OU, diffusion 0.5) peaks 6 MB higher; smaller blocks cost more numpy
-# calls per replicate, which shows most at --threads 2.
+# Elements per array of one row block (``_row_blocks``), 512 kB of floats, for
+# every per-chunk computation padded to a chunk's most jumps or spread over the
+# grid.  At 2**18 a tail-equivalence run of 30000 replicates (grid 512, exp-OU,
+# diffusion 0.5) peaks 6 MB higher; smaller blocks cost more numpy calls per
+# replicate, which shows most at --threads 2.
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -443,21 +442,50 @@ def _first_columns(counts: np.ndarray, kmax: int, name: str) -> np.ndarray:
                    out=scratch(name, (len(counts), kmax), bool))
 
 
-def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
-                               t: float, n: int, seed: int, grid_size: int = 512,
-                               threads: int = 1, running_sup: bool = True
-                               ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Endpoint value and running sup over [0, t] of the integral, vectorized.
+def _block_marks(model: LevyModel, rng: np.random.Generator, marks: dict, b: int,
+                 kmax: int, blk: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``blk`` of the (b, kmax) times and one-dimensional sizes that
+    ``_jump_marks`` draws from the Philox state ``marks``, into scratch.  Each
+    part is read at the block's place in the stream, one output per double:
+    past the buffer's rest, whole counter steps by ``advance``, the remainder."""
+    lo, shape, bits = blk.start * kmax, (blk.stop - blk.start, kmax), rng.bit_generator
 
-    Returns arrays of shape (n,): ((Y.X)_t, sup_{s<=t} (Y.X)_s) for a
-    one-dimensional model.  With ``running_sup=False`` the sup is neither
-    computed nor allocated, and None takes its place; the endpoints are the
-    same bits either way.  Replicates are simulated in fixed-size batches
-    with counter-based per-batch streams, so results are reproducible for any
-    ``n``, and the batches are split over ``threads`` without changing a bit.
-    An exp-OU integrand is evaluated at jump times via its last grid sample
-    before the jump (predictable; the grid bias vanishes with grid_size).
-    ``t`` must be a grid point.
+    def at(part: int) -> np.random.Generator:
+        skip, bits.state = part * b * kmax + lo, marks
+        head = min(skip, 4 - marks["buffer_pos"])
+        bits.random_raw(head)
+        if skip > head:  # the buffer is empty, so ``advance`` drops no output
+            bits.advance((skip - head) // 4)
+            bits.random_raw((skip - head) % 4)
+        return rng
+
+    times = at(0).random(out=scratch("batch.times", shape))
+    np.subtract(1.0, times, out=times)
+    sizes = _pareto_radii(at(1), model.radial_alpha, out=scratch("batch.sizes", shape))
+    dirs = model._dirs[:, 0]
+    if len(dirs) > 1:  # the atom each uniform picks
+        u = at(2).random(out=scratch("batch.u", shape))
+        dirs = np.take(dirs, model._cdf.searchsorted(u, side="right"), out=u)
+    sizes *= dirs
+    return times, sizes
+
+
+def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: float, n: int,
+                               seed: int, reduce: Callable, grid_size: int = 512,
+                               threads: int = 1, running_sup: bool = True) -> list:
+    """Endpoint value and running sup over [0, t] of the integral, vectorized,
+    for a one-dimensional model, reduced batch by batch.
+
+    Each batch hands ``reduce(endpoint, sup)`` its replicates' (Y.X)_t and
+    sup_{s<=t} (Y.X)_s, in the running thread's scratch buffers (its next
+    batch overwrites them), and the results come back in batch order.  With
+    ``running_sup=False`` the sup is neither computed nor allocated, and None
+    takes its place; the endpoints are the same bits either way.  Batches
+    have a fixed size and counter-based streams, so results are reproducible
+    for any ``n``, and the batches are split over ``threads`` without
+    changing a bit.  An exp-OU integrand is evaluated at jump times via its
+    last grid sample before the jump (predictable; the grid bias vanishes
+    with grid_size).  ``t`` must be a grid point.
 
     The jump part is kept per replicate, (rows, most jumps) arrays, never on
     the grid.  Each replicate's jumps are sorted once, by time, and summed in
@@ -467,20 +495,14 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     rounding x + J is monotone in x).  The cost grows with the batch size
     times its largest jump count, not times the grid size.
 
-    A batch's jump times, radii and directions are drawn for the whole batch,
-    since its jump stream holds every time before any radius.  Everything
-    after the draws runs one block of rows at a time (``_row_blocks``), at
-    most ``_BLOCK_ELEMENTS // (width + 1)`` rows with ``width`` the batch's
-    most jumps, or the grid size when the integrand or the continuous part
-    lives on the grid: the jump mask and sort, the cells and stretches, the
-    integrand at the jumps, the sums, and the endpoint and sup.  The batch's
-    integrand and Gaussian streams are read on block after block, which takes
-    their normals in the order one (batch x grid) draw fills them, so the
-    block size changes no bit.  A block's arrays are the running thread's
-    scratch buffers (``_rng.scratch``), which every block and batch on that
-    thread reuses, and the draws themselves are parked and overwritten in
-    place; so a batch's memory grows with its jump count only through the
-    draws, and not at all with the grid.
+    Everything after a batch's jump counts runs one block of rows at a time
+    (``_row_blocks``, of width the batch's most jumps, or the grid size when
+    the integrand or the continuous part lives on the grid).  A block reads
+    its jump marks where they lie in the jump stream (``_block_marks``), and
+    its normals on from the integrand and Gaussian streams, as one draw over
+    the batch fills them, so the block size changes no bit.  Its arrays are
+    scratch buffers that every block and batch of the thread reuses: the
+    memory is a few arrays of one block, whatever ``n``, jump rate and grid.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
@@ -490,36 +512,34 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
     on_grid = exp_ou or has_cont  # whether a block builds (rows x grid) arrays
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     y_line = None if exp_ou else _integrand_values(integrand, grid)[:, 0]
-    endpoints = np.empty(n)
-    sups = np.empty(n) if running_sup else None
 
-    def batch(batch_index: int, start: int, stop: int) -> None:
+    def batch(batch_index: int, start: int, stop: int):
         b = stop - start
         rng = substream(seed, batch_index, JUMP_STREAM)
         counts = rng.poisson(model.big_jump_intensity, b)
         kmax = max(int(counts.max()), 1)
-        times, sizes = _jump_marks(model, rng, (b, kmax))
-        sizes = sizes[..., 0]
-        if on_grid:
-            y_rng = substream(seed, batch_index, INTEGRAND_STREAM)
-            x_rng = substream(seed, batch_index, GAUSS_STREAM)
+        marks = rng.bit_generator.state  # where the (b x kmax) times start
+        endpoints = scratch("batch.endpoint", b)
+        sups = scratch("batch.sup", b) if running_sup else None
+        y_rng, x_rng = (substream(seed, batch_index, INTEGRAND_STREAM),
+                        substream(seed, batch_index, GAUSS_STREAM)) if on_grid else (None, None)
         for blk in _row_blocks(b, max(grid_size if on_grid else 0, kmax)):
             r = blk.stop - blk.start
             rows = np.arange(r)[:, None]
             shape, wide = (r, kmax), (r, kmax + 1)
+            times, sizes = _block_marks(model, rng, marks, b, kmax, blk)
             mask = _first_columns(counts[blk], kmax, "batch.mask")
             off = np.logical_not(mask, out=scratch("batch.off", shape, bool))
-            # time order, with the padding parked beyond the horizon in the
-            # draws themselves: the parked columns sort last, so ``mask`` holds
-            np.copyto(times[blk], 2.0, where=off)
-            order = np.argsort(times[blk], axis=1)
+            # time order, with the padding parked beyond the horizon: the
+            # parked columns sort last, so ``mask`` holds
+            np.copyto(times, 2.0, where=off)
+            order = np.argsort(times, axis=1)
             order += rows * kmax  # flat indices into the block's rows
-            jt = np.take(times[blk], order, mode="clip", out=scratch("batch.jt", shape))
-            jz = np.take(sizes[blk], order, mode="clip", out=scratch("batch.jz", shape))
+            jt = np.take(times, order, mode="clip", out=scratch("batch.jt", shape))
+            jz = np.take(sizes, order, mode="clip", out=scratch("batch.jz", shape))
             np.copyto(jz, 0.0, where=off)
-            # the block's rows of the draws, and ``order``, are free from here
-            # on and hold later arrays
-            jg = np.multiply(jt, grid_size, out=sizes[blk])
+            # the block's marks and ``order`` are free now, and hold later arrays
+            jg = np.multiply(jt, grid_size, out=sizes)
 
             # A jump at tau counts on the grid from the first grid point >= tau
             # on, its cell.  For the grid sup, the jump sum is constant from
@@ -541,8 +561,8 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             # integrand at the jump times; exp-OU takes its last grid sample
             # before the jump, read from the block's grid values below
             if not exp_ou:
-                at = np.multiply(jt, mask, out=times[blk])  # jt at the jumps, else 0
-                y_jump = _integrand_values(integrand, at)[..., 0]
+                at = np.multiply(jt, mask, out=times)  # jt at the jumps, else 0
+                y_jump = _integrand_values(integrand, at, out=at[..., None])[..., 0]
             # continuous part: left-endpoint sums wc of y against the Gaussian
             # walk xc (identically 0 without diffusion and drift), at t, at its
             # stretch maxima and interpolated at the jump times.  The block's
@@ -550,9 +570,8 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             # normals, once used, give their buffer to the Gaussian ones
             wc_end = 0.0
             if exp_ou:
-                pos = scratch("batch.pos", shape, np.intp)
-                np.copyto(pos, jg, casting="unsafe")
-                np.clip(pos, 0, grid_size, out=pos)
+                pos = np.clip(jg, 0, grid_size, out=scratch("batch.pos", shape, np.intp),
+                              casting="unsafe")
                 z = y_rng.standard_normal(out=scratch("batch.z", (r, grid_size)))
                 y_grid = _integrand_values(integrand, grid, z,
                                            scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
@@ -573,9 +592,8 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
                     stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
                                                               starts[stretch])
                     # the grid step holding each jump, to interpolate between its ends
-                    seg = scratch("batch.seg", shape, np.intp)
-                    np.copyto(seg, jg, casting="unsafe")
-                    np.clip(seg, 0, grid_size - 1, out=seg)
+                    seg = np.clip(jg, 0, grid_size - 1, casting="unsafe",
+                                  out=scratch("batch.seg", shape, np.intp))
                     frac = np.subtract(jg, seg, out=jg)
                     xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
                     wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
@@ -587,8 +605,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             cum = scratch("batch.cum", wide)
             cum[:, 0] = 0.0
             np.cumsum(wz, axis=1, out=cum[:, 1:])
-            out = slice(start + blk.start, start + blk.stop)
-            endpoints[out] = wc_end + cum[rows[:, 0], np.count_nonzero(before, axis=1)]
+            endpoints[blk] = wc_end + cum[rows[:, 0], np.count_nonzero(before, axis=1)]
             if not running_sup:
                 continue
 
@@ -597,14 +614,15 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec,
             sup = stretch_wc.max(axis=1)
             # values on both sides of each jump between grid points: the
             # interpolated continuous part plus the jump sums
-            post = np.add(wc_at, cum[:, 1:], out=times[blk])
+            post = np.add(wc_at, cum[:, 1:], out=times)
             pre = np.subtract(post, wz, out=wz)
             late = np.greater(jt, t, out=off)
             np.copyto(post, -np.inf, where=late)
             np.copyto(pre, -np.inf, where=late)
             np.maximum(sup, post.max(axis=1), out=sup)
             np.maximum(sup, pre.max(axis=1), out=sup)
-            np.maximum(sup, 0.0, out=sups[out])  # path starts at 0
+            np.maximum(sup, 0.0, out=sups[blk])  # path starts at 0
 
-    chunks(n, _BATCH, batch, threads)
-    return endpoints, sups
+        return reduce(endpoints, sups)
+
+    return chunks(n, _BATCH, batch, threads)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import bigjump as bj
+from batch_helpers import batch_arrays
 
 PASSED = "PASS"
 FAILED = "FAIL"
@@ -69,8 +70,8 @@ def test_criterion_2_analytic_tail_reproduction():
     measure = model.induced_measure()
 
     start = time.perf_counter()
-    endpoint, _ = bj.batch_integral_functionals(model, integrand, 1.0, 10 ** 6,
-                                                seed=202, grid_size=128, running_sup=False)
+    endpoint, _ = batch_arrays(model, integrand, 1.0, 10 ** 6, seed=202, grid_size=128,
+                               running_sup=False)
     ratios = []
     for u in (5.0, 10.0, 20.0):
         pred = bj.analytic_prediction(measure, integrand, 1.0, u, grid_size=4096)

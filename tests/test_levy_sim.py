@@ -15,6 +15,7 @@ from bigjump.levy_sim import (ConstantIntegrand, DeterministicIntegrand,
                               one_jump_integral, simulate_big_jumps,
                               simulate_integrand, simulate_levy_path,
                               simulate_small_part, stochastic_integral)
+from batch_helpers import batch_arrays
 
 
 def pure_jump_model(alpha=1.5, lam=1.0):
@@ -215,7 +216,7 @@ class TestIntegrand:
             assert np.all(np.isfinite(p.values))
         model = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
         assert all(np.all(np.isfinite(v))
-                   for v in batch_integral_functionals(model, spec, 1.0, 2000, 3, grid_size=64))
+                   for v in batch_arrays(model, spec, 1.0, 2000, 3, grid_size=64))
 
     def test_exp_ou_vol_bound(self):
         # exp(U) overflowed for a large vol, which left non-finite integrand
@@ -392,7 +393,7 @@ class TestOutArrays:
 class TestBatchFunctionals:
     def test_pure_drift_exact(self):
         m = LevyModel(1, 1e-12, 1.5, [([1.0], 1.0)], drift=[1.0])
-        endpoint, runsup = batch_integral_functionals(
+        endpoint, runsup = batch_arrays(
             m, ConstantIntegrand([2.0]), 0.5, 100, seed=3, grid_size=64)
         assert np.allclose(endpoint, 1.0, atol=1e-12)
         assert np.allclose(runsup, 1.0, atol=1e-12)
@@ -400,8 +401,7 @@ class TestBatchFunctionals:
     def test_matches_replicate_machinery_statistically(self):
         m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
         spec = DeterministicIntegrand(1.0, -1.0)
-        endpoint, runsup = batch_integral_functionals(m, spec, 1.0, 60000, seed=5,
-                                                      grid_size=128)
+        endpoint, runsup = batch_arrays(m, spec, 1.0, 60000, seed=5, grid_size=128)
         ref = np.empty(6000)
         for r in range(len(ref)):
             cfg = SimConfig(128, 999, r)
@@ -430,7 +430,7 @@ class TestBatchFunctionals:
         # functionals with the exact path machinery.
         monkeypatch.setattr(levy_sim, "_BATCH", 1)
         n, seed, grid_size = 200, 13, 64
-        endpoint, runsup = batch_integral_functionals(model, spec, t, n, seed, grid_size)
+        endpoint, runsup = batch_arrays(model, spec, t, n, seed, grid_size)
         several = 0  # replicates with two or more jumps
         for k in range(n):
             cfg = SimConfig(grid_size, seed, k)
@@ -451,34 +451,70 @@ class TestBatchFunctionals:
 
     def test_deterministic_in_seed(self):
         m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.2]])
-        a = batch_integral_functionals(m, ConstantIntegrand([1.0]), 1.0, 5000, seed=7)
-        b = batch_integral_functionals(m, ConstantIntegrand([1.0]), 1.0, 5000, seed=7)
+        a = batch_arrays(m, ConstantIntegrand([1.0]), 1.0, 5000, seed=7)
+        b = batch_arrays(m, ConstantIntegrand([1.0]), 1.0, 5000, seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_requires_grid_time(self):
         m = pure_jump_model()
         with pytest.raises(ValueError, match="grid time"):
-            batch_integral_functionals(m, ConstantIntegrand([1.0]), 0.123, 10, 1,
-                                       grid_size=64)
+            batch_arrays(m, ConstantIntegrand([1.0]), 0.123, 10, 1, grid_size=64)
         # 1e-13 is within 1e-12 of grid time 0, which is not in (0, 1]
         with pytest.raises(ValueError, match="grid time"):
-            batch_integral_functionals(m, ConstantIntegrand([1.0]), 1e-13, 10, 1,
-                                       grid_size=512)
+            batch_arrays(m, ConstantIntegrand([1.0]), 1e-13, 10, 1, grid_size=512)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # one batch of 2048 exp-OU replicates with a Gaussian part; whole
-        # (batch x grid) arrays would take 100 MB at grid 2048 against 6 MB at 128
-        m = LevyModel(1, 1.0, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
+        # exp-OU replicates with a Gaussian part, reduced to nothing, against one
+        # batch of 8192 at grid 128 and intensity 1.  Whole arrays would take
+        # 400 MB of (batch x grid) values at grid 2048, 1 MB of endpoints (and
+        # as many sups) at 16 batches, and 72 MB of jump draws at intensity 1000
         spec = ExpOUIntegrand(2.0, 0.3, 1.0)
-        peaks = []
-        for grid_size in (128, 2048):
+
+        def peak(lam, n, grid_size, running_sup):
+            m = LevyModel(1, lam, 1.5, [([1.0], 1.0)], diffusion=[[0.5]])
             tracemalloc.start()
             try:
-                batch_integral_functionals(m, spec, 1.0, 2048, 3, grid_size)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                batch_integral_functionals(m, spec, 1.0, n, 3, lambda *_: None, grid_size,
+                                           running_sup=running_sup)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 2 * peaks[0], peaks
+
+        peak(1.0, 100, 128, True)  # numpy's first-call allocations
+        for running_sup in (True, False):
+            base = peak(1.0, 8192, 128, running_sup)
+            peaks = [peak(1.0, 8192, 2048, running_sup), peak(1.0, 16 * 8192, 128, running_sup),
+                     peak(1000.0, 8192, 128, running_sup)]
+            assert peaks[0] <= 2 * base, (running_sup, base, peaks)
+            assert peaks[1] <= 1.1 * base, (running_sup, base, peaks)
+            assert peaks[2] <= 4 * base, (running_sup, base, peaks)
+
+
+@pytest.mark.parametrize("rows", [1, 97, None], ids=["1-row", "97-rows", "default"])
+@pytest.mark.parametrize("model", [
+    pytest.param(LevyModel(1, 300.0, 1.5, [([1.0], 0.5), ([-1.0], 0.3), ([1.0], 0.15),
+                                           ([-1.0], 0.05)]), id="four-atoms"),
+    pytest.param(LevyModel(1, 1.0, 1.5, [([1.0], 1.0)]), id="one-atom"),
+])
+def test_block_marks_bit_equal_to_whole_batch_draw(monkeypatch, model, rows):
+    # each block reads its rows of the times, radii and direction uniforms from
+    # their places in the jump stream; the Poisson counts leave 3, 2, 1 and 0
+    # outputs of the stream's four-output buffer at intensity 1 (2, 0, 2 and 0
+    # at 300)
+    b = 700
+    for seed, batch_index in ((3, 0), (8, 5), (1, 1), (21, 2)):
+        rng = substream(seed, batch_index, JUMP_STREAM)
+        kmax = max(int(rng.poisson(model.big_jump_intensity, b).max()), 1)
+        marks = rng.bit_generator.state
+        times, sizes = levy_sim._jump_marks(model, rng, (b, kmax))
+        if rows is not None:
+            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", rows * (kmax + 1))
+        blocks = list(levy_sim._row_blocks(b, kmax))
+        assert rows is None or blocks[0].stop == rows
+        for blk in blocks:
+            got = levy_sim._block_marks(model, rng, marks, b, kmax, blk)
+            assert np.array_equal(got[0], times[blk])
+            assert np.array_equal(got[1], sizes[blk, :, 0])
 
 
 def dense_batch_reference(model, integrand, t, n, seed, grid_size):
@@ -593,10 +629,10 @@ class TestBatchDifferential:
         # below one row, which gives blocks of one row
         for budget in (levy_sim._BLOCK_ELEMENTS, 97 * (grid_size + 1), grid_size):
             monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
-            got = batch_integral_functionals(model, spec, t, n, seed, grid_size)
+            got = batch_arrays(model, spec, t, n, seed, grid_size)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             # the endpoint-only mode: the same endpoint bits, and no sup
-            endpoint, sup = batch_integral_functionals(model, spec, t, n, seed, grid_size,
-                                                       running_sup=False)
+            endpoint, sup = batch_arrays(model, spec, t, n, seed, grid_size,
+                                         running_sup=False)
             assert np.array_equal(endpoint, want[0]) and sup is None
