@@ -6,10 +6,11 @@ the typed spec of its kind in one step, with one reader for the top level and
 every section: each key is read by one rule wherever it appears, and a section
 such as ``model`` goes to the constructor of its variant.  It resolves every
 default and reports every violated invariant at once.  :func:`validate`
-returns those violations and :func:`run` hands the spec to the kind's runner,
-writes the output files and returns a manifest, so the two accept exactly the
-same configs.  Rerunning with an identical config and seed reproduces the
-estimate files byte for byte; every output file carries the config hash.
+returns those violations and :func:`run` runs the spec, so the two accept
+exactly the same configs.  A kind's runner computes its output tables from the
+spec alone and yields them; :func:`run` writes each as it comes, in the config's
+format and with the config hash, and returns a manifest.  Rerunning with an
+identical config and seed reproduces the estimate files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -60,9 +61,7 @@ class RunManifest:
     outputs: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "seed": self.seed,
-                "version": self.version, "duration_seconds": self.duration_seconds,
-                "outputs": list(self.outputs)}
+        return {**asdict(self), "outputs": list(self.outputs)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,8 @@ def _relations(schema: dict, v: dict) -> list[str]:
         levels = v.get("levels")
         if v["kind"] == "tails" and not errors and None not in (model, integrand, t, gs, levels):
             # the prediction _run_tails writes at the lowest level, its largest
-            measure = model.induced_measure()
             with np.errstate(over="ignore"):
-                pred = (analytic_prediction(measure, integrand, t, 1.0, gs)
-                        * np.float64(levels[0]) ** -measure.alpha)
+                pred, = _tail_predictions(model, integrand, t, gs, levels[:1])
             if not np.isfinite(pred):
                 errors.append(f"the limit prediction at level {levels[0]} overflows")
     return errors
@@ -266,29 +263,25 @@ def validate(config: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)  # str of a float is its repr
 
 
-def _write_rows(out: Path, stem: str, digest: str, fmt: str, header: list[str],
-                rows: list[list], extra_comment: str = "") -> str:
+def _write_rows(out: Path, digest: str, fmt: str, stem: str, header: list[str],
+                rows: list[list], note: str = "") -> str:
     """Write ``out/stem.fmt``; returns the file name."""
     path = out / f"{stem}.{fmt}"
     if fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as fh:
             fh.write(f"# config_hash={digest}\n")
-            if extra_comment:
-                fh.write(f"# {extra_comment}\n")
+            if note:
+                fh.write(f"# {note}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     else:
         doc = {"config_hash": digest, "columns": header, "rows": rows}
-        if extra_comment:
-            doc["note"] = extra_comment
+        if note:
+            doc["note"] = note
         path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
     return path.name
 
@@ -302,41 +295,43 @@ _RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "
 
 
 # ---------------------------------------------------------------------------
-# Runners: (spec, out_dir, config hash, threads) -> output file names
+# Runners: (spec, threads) -> generator of (stem, header, rows[, note]) tables
 # ---------------------------------------------------------------------------
 
-def _run_tails(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
+def _tail_predictions(model: LevyModel, integrand, t: float, grid_size: int, levels) -> list:
+    """The limit prediction of P(W_t > u) at each level u: the limit measure is
+    homogeneous, so one prediction at level 1 times u**-alpha serves all."""
+    measure = model.induced_measure()
+    mass = analytic_prediction(measure, integrand, t, 1.0, grid_size)
+    return [float(mass * np.float64(u) ** -measure.alpha) for u in levels]
+
+
+def _run_tails(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     hits = np.sum(batch_integral_functionals(
         spec.model, spec.integrand, spec.t, spec.n, spec.seed,
         lambda endpoint, _: [np.count_nonzero(endpoint > u) for u in spec.levels],
         grid_size=spec.grid_size, threads=threads, running_sup=False), axis=0)
-    measure = spec.model.induced_measure()
-    # the limit measure is homogeneous: one prediction at level 1 serves all
-    mass = analytic_prediction(measure, spec.integrand, spec.t, 1.0, spec.grid_size)
+    preds = _tail_predictions(spec.model, spec.integrand, spec.t, spec.grid_size,
+                              spec.levels)
     rows = []
-    for u, k in zip(spec.levels, hits):
-        pred = mass * float(u) ** -measure.alpha
+    for u, k, pred in zip(spec.levels, hits, preds):
         est = TailEstimate(float(u), spec.n, int(k))
         ratio = est.p_hat / pred if pred > 0 else None
         rows.append([u, pred, est.p_hat, est.stderr, est.hits, spec.n, ratio])
-    return [_write_rows(out, "tails", digest, spec.format,
-                        ["u", "analytic", "p_hat", "stderr", "hits", "n", "ratio"], rows)]
+    yield "tails", ["u", "analytic", "p_hat", "stderr", "hits", "n", "ratio"], rows
 
 
-def _run_breiman(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
+def _run_breiman(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     x_sampler = lambda rng, out: _pareto_radii(rng, spec.breiman.alpha, out=out)
     ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed,
                          threads)
-    return [_write_rows(out, "breiman", digest, spec.format, _RATIO_HEADER,
-                        _ratio_rows(ests))]
+    yield "breiman", _RATIO_HEADER, _ratio_rows(ests)
 
 
-def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
-                      threads: int) -> list[str]:
+def _run_one_big_jump(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     sup_curve, jump_curve = one_big_jump_curve(
         spec.model, spec.integrand, spec.epsilon, spec.levels, spec.n, spec.seed,
         grid_size=spec.grid_size)
-    names = []
     for curve in (sup_curve, jump_curve):
         rows = [[u, None if e is None else e.p_hat, None if e is None else e.stderr,
                  0 if e is None else e.n]
@@ -345,18 +340,14 @@ def _run_one_big_jump(spec: SimpleNamespace, out: Path, digest: str,
         note = (f"conditioning={curve.conditioning} epsilon={curve.epsilon} "
                 f"slope={'' if slope is None else repr(slope)} "
                 f"nonincreasing_trend={'' if slope is None else str(slope <= 0).lower()}")
-        names.append(_write_rows(out, f"one_big_jump_{curve.conditioning}", digest,
-                                 spec.format, ["u", "estimate", "stderr", "n_conditioning"],
-                                 rows, note))
-    return names
+        yield (f"one_big_jump_{curve.conditioning}",
+               ["u", "estimate", "stderr", "n_conditioning"], rows, note)
 
 
-def _run_tail_equivalence(spec: SimpleNamespace, out: Path, digest: str,
-                          threads: int) -> list[str]:
+def _run_tail_equivalence(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     ests = tail_equivalence(spec.model, spec.integrand, spec.t, spec.levels, spec.n,
                             spec.seed, grid_size=spec.grid_size, threads=threads)
-    return [_write_rows(out, "tail_equivalence", digest, spec.format, _RATIO_HEADER,
-                        _ratio_rows(ests))]
+    yield "tail_equivalence", _RATIO_HEADER, _ratio_rows(ests)
 
 
 def _prefix_factors(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -371,8 +362,7 @@ def _prefix_factors(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return y
 
 
-def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
-                      threads: int) -> list[str]:
+def _run_lemma_checks(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     sec = spec.lemma_checks
     alpha, lam = sec.alpha, sec.lam
     z_sampler = lambda rng, out: _pareto_radii(rng, alpha, out=out)
@@ -384,33 +374,29 @@ def _run_lemma_checks(spec: SimpleNamespace, out: Path, digest: str,
         margin = 3.0 * np.hypot(lhs.stderr, 2.0 * rhs.stderr)
         rows.append([label, lhs.u, lhs.p_hat, lhs.stderr, rhs.p_hat, rhs.stderr,
                      str(lhs.p_hat <= 2.0 * rhs.p_hat + margin).lower()])
-    bound = _write_rows(out, "max_product_bound", digest, spec.format,
-                        ["y_construction", "x", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
-                         "within_bound"], rows)
+    yield ("max_product_bound", ["y_construction", "x", "lhs", "lhs_stderr", "rhs",
+                                 "rhs_stderr", "within_bound"], rows)
 
     measure = RegVarMeasure(alpha, lam, [([1.0], 1.0)])
     trend = double_jump_trend(measure, lam, sec.beta, sec.n_values, sec.reps, spec.seed,
                               threads)
-    rows = [[p.n, p.closed_form, p.mc_value, p.stderr] for p in trend]
-    return [bound, _write_rows(out, "double_jump_trend", digest, spec.format,
-                               ["n", "closed_form", "mc_value", "stderr"], rows)]
+    yield ("double_jump_trend", ["n", "closed_form", "mc_value", "stderr"],
+           [[p.n, p.closed_form, p.mc_value, p.stderr] for p in trend])
 
 
-def _run_paths(spec: SimpleNamespace, out: Path, digest: str, threads: int) -> list[str]:
-    names = []
+def _run_paths(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    header = ["t"] + [f"{name}{k}" for name in ("x", "y", "w", "w_approx")
+                      for k in range(spec.model.dimension)]
     for rep in range(spec.n_paths):
         cfg = SimConfig(spec.grid_size, spec.seed, rep)
         x = simulate_levy_path(spec.model, cfg)
         y = simulate_integrand(spec.integrand, cfg, times=x.jump_times)
         w = stochastic_integral(y, x)
         wa = one_jump_integral(y, x)
-        header = ["t"] + [f"{name}{k}" for name in ("x", "y", "w", "w_approx")
-                          for k in range(spec.model.dimension)]
-        rows = np.hstack([w.grid[:, None]] +
-                         [p._sides_at(w.grid)[1] for p in (x, y, w, wa)]).tolist()
-        names.append(_write_rows(out, f"path_{rep:03d}", digest, spec.format, header,
-                                 rows))
-    return names
+        # x, y and w share one grid, the uniform grid and x's jump times
+        rows = np.hstack([w.grid[:, None], x.values, y.values, w.values,
+                          wa._sides_at(w.grid)[1]]).tolist()
+        yield f"path_{rep:03d}", header, rows
 
 
 # What each kind reads: key -> default or _REQUIRED.  An absent key and null
@@ -421,7 +407,7 @@ _SIMULATION = {**_COMMON, "model": _REQUIRED, "integrand": _REQUIRED, "grid_size
 _TAIL_EQUIVALENCE = {**_SIMULATION, "levels": _REQUIRED, "n": _REQUIRED, "t": 1.0}
 
 # kind -> (schema, runner); error messages list the kinds in this order.
-_KINDS: dict[str, tuple[dict, Callable[..., list[str]]]] = {
+_KINDS: dict[str, tuple[dict, Callable[[SimpleNamespace, int], Iterator[tuple]]]] = {
     "tails": ({**_TAIL_EQUIVALENCE, "n_mc_inner": 2048}, _run_tails),
     "breiman": ({**_COMMON, "levels": _REQUIRED, "n": _REQUIRED, "breiman": _REQUIRED},
                 _run_breiman),
@@ -473,15 +459,16 @@ _SECTIONS: dict[str, tuple[Optional[str], dict]] = {
 
 
 def run(config: dict, out_dir: str | Path = ".", threads: int = 1) -> RunManifest:
-    """Parse, dispatch and write outputs plus a manifest.json."""
+    """Parse, write each table the kind's runner yields, then a manifest.json."""
     spec = parse(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
     start = time.perf_counter()
-    outputs = _KINDS[spec.kind][1](spec, out, digest, threads)
+    outputs = tuple(_write_rows(out, digest, spec.format, *table)
+                    for table in _KINDS[spec.kind][1](spec, threads))
     manifest = RunManifest(digest, spec.seed, __version__,
-                           time.perf_counter() - start, tuple(outputs))
+                           time.perf_counter() - start, outputs)
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=1),
                                        encoding="utf-8")
     return manifest

@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bigjump import cli, diagnostics, levy_sim
-from bigjump.experiments import ValidationError, config_hash, parse, run, validate
+from bigjump.experiments import _KINDS, ValidationError, config_hash, parse, run, validate
 
 MODEL = {"dimension": 1, "big_jump_intensity": 1.0, "radial_alpha": 1.5,
          "spectral": [{"dir": [1.0], "w": 1.0}],
@@ -394,6 +396,26 @@ class TestRun:
         assert doc["columns"] == ["t", "x0", "y0", "w0", "w_approx0"]
         assert len(doc["rows"]) >= 33
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_runners_write_nothing(self, kind, fmt, tmp_path, monkeypatch):
+        # a runner yields its tables and run writes them: the runner alone,
+        # run in an empty directory, leaves it empty, and its stems are the
+        # names of the files run writes
+        config = dict({"tails": tails_config(n=200),
+                       "breiman": breiman_config(),
+                       "one-big-jump": obj_config(),
+                       "tail-equivalence": tails_config(kind="tail-equivalence", n=200),
+                       "lemma-checks": lemma_config(reps=1000, n_trials=1000),
+                       "paths": dict(PATHS, n_paths=2)}[kind], format=fmt)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        tables = list(_KINDS[kind][1](parse(config), 1))
+        assert list(work.iterdir()) == []
+        manifest = run(config, out_dir=tmp_path / "out")
+        assert tuple(f"{table[0]}.{fmt}" for table in tables) == manifest.outputs
+
 
 class TestCli:
     def _write(self, tmp_path, cfg):
@@ -490,3 +512,19 @@ class TestCli:
         monkeypatch.setattr(cli, "run", boom)
         rc = cli.main(["run", self._write(tmp_path, tails_config(n=100))])
         assert rc == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_tails_example_validates(self):
+        examples = [json.loads(block) for block in
+                    re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)]
+        tails = [config for config in examples if config.get("kind") == "tails"]
+        assert len(tails) == 1
+        assert validate(tails[0]) == []
+
+    def test_key_table_names_every_kind(self):
+        kinds = re.findall(r"^\| `([^`]+)` \|", README.read_text(), re.M)
+        assert kinds == list(_KINDS)
