@@ -26,8 +26,8 @@ calls ``fn(index, start, stop)`` on consecutive ranges covering [0, n) and
 returns the results in chunk order, so a merge over them is the same for any
 ``threads``.  The callers key their streams from the range as follows:
 
-- ``maximal_product_bound``: (seed, index, AUX_STREAM), read in row blocks
-  for Z and then again for Z~, in the order one draw of each fills them;
+- ``maximal_product_bound``: (seed, index, AUX_STREAM): the counts, then a
+  (chunk x most counts) draw of Z and of Z~, read where each block lies (``seek``);
 - ``breiman_ratio``: (seed, index, AUX_STREAM) for X and
   (seed, index, AUX_STREAM + 1) for Y;
 - ``double_jump_trend``: one stream (seed, i, AUX_STREAM) per ``n_values``
@@ -37,14 +37,10 @@ returns the results in chunk order, so a merge over them is the same for any
 - ``batch_integral_functionals``: (seed, index, tag) for each noise tag, read
   in row blocks in the order one draw over the whole batch fills them, so the
   block size moves no draw (a block reads its jump times, radii and direction
-  uniforms where they lie in the jump stream: ``levy_sim._block_marks``);
+  uniforms where they lie in the jump stream, by ``seek``: ``_block_marks``);
 - ``one_big_jump_curve``: its screening blocks draw each replicate r from
-  (seed, r, tag), so the split does not show in its counts.
-
-The batch sampler (tails and tail-equivalence), ``breiman_ratio``, and
-``maximal_product_bound`` and ``double_jump_trend`` (lemma-checks) run on
-``threads`` > 1 when ``bigjump run --threads`` asks for it;
-``one_big_jump_curve`` runs on one thread.
+  (seed, r, tag), so the split does not show in its counts; it alone runs on
+  one thread whatever ``bigjump run --threads`` asks for.
 
 ``scratch(name, shape)`` gives those chunk functions their temporaries: each
 thread keeps one buffer per name, grows it when a chunk needs more and hands
@@ -106,6 +102,18 @@ def rekey(gen: np.random.Generator, seed: int, replicate_index: int = 0,
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }
+    return gen
+
+
+def seek(gen: np.random.Generator, state: dict, skip: int) -> np.random.Generator:
+    """``gen`` set to the Philox ``state`` moved on by ``skip`` 64-bit outputs:
+    past the buffer's rest, whole counter steps by ``advance``, the remainder."""
+    bits, head = gen.bit_generator, min(skip, 4 - state["buffer_pos"])
+    bits.state = state
+    bits.random_raw(head)
+    if skip > head:  # the buffer is empty, so ``advance`` drops no output
+        bits.advance((skip - head) // 4)
+        bits.random_raw((skip - head) % 4)
     return gen
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._rng import (AUX_STREAM, GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks,
-                   rekey, scratch, substream)
+                   rekey, scratch, seek, substream)
 from .levy_sim import (ExpOUIntegrand, IntegrandSpec, LevyModel, _draw_jumps,
                        _first_columns, _gaussian_walk, _integrand_values, _pareto_radii,
                        _power_mean, _row_blocks, batch_integral_functionals)
@@ -35,10 +35,9 @@ from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 BatchSampler = Callable[["np.random.Generator", np.ndarray], object]
 
 _CHUNK = 1 << 16
-# The lemma checks draw a chunk one block of rows at a time, but
-# ``maximal_product_bound`` keeps one factor per jump of a chunk between its
-# passes over Z and Z~: at this rate a run of 131072 trials and reps peaks at
-# 89 MB (303 MB when a chunk held whole (_CHUNK x most jumps) arrays).
+# The lemma checks draw and count a chunk one block of rows at a time: at this
+# rate a run of 131072 trials and reps peaks at 38 MB (89 MB when the bound kept
+# one factor per jump, 303 MB when a chunk held (_CHUNK x most jumps) arrays).
 _MAX_LAM = 100.0
 
 
@@ -472,69 +471,67 @@ def _rows_with(a: np.ndarray, at_least: int = 1) -> int:
 
 
 def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np.ndarray],
-                          y_builder: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          y_builders: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
                           z_sampler: BatchSampler,
                           n_trials: int, x_level: float, seed: int,
-                          threads: int = 1) -> tuple[TailEstimate, TailEstimate]:
-    """Both sides of the decoupled maximal-product tail bound.
+                          threads: int = 1) -> list[tuple[TailEstimate, TailEstimate]]:
+    """Both sides of the decoupled maximal-product tail bound, one (lhs, rhs)
+    pair per factor construction in ``y_builders``, all on the same draws.
 
     Estimates lhs = P(sum_{k<=N} Y_k Z_k > x) and rhs = P(N max_k Y_k Z~_k > x)
     where (Z~_k) is an independent copy of (Z_k).  ``count_sampler(rng, b)``
-    returns a chunk's b counts N.  ``z_sampler`` fills a (rows, most counts)
-    array in place (see ``BatchSampler``), block after block of rows for Z and
-    then again for Z~, which reads the chunk's stream in the order one (b,
-    most counts) draw of Z and then one of Z~ would.  ``y_builder(z, mask)``
-    must return the factor matrix (or a value that broadcasts to it) computed
-    from strict prefixes of each row of its first argument only (predictable
-    construction), e.g. ``lambda z, mask: 1.0`` or a function of the
-    cumulative sums of earlier entries; it sees one block of rows at a time.
+    returns a chunk's b counts N.  ``z_sampler`` fills an array in place (see
+    ``BatchSampler``) with one 64-bit output per value, as ``rng.random``
+    does, or the bound raises ``ValueError``: a block of rows reads its Z
+    where one (b, most counts) draw after the counts puts it, and its Z~ b *
+    most counts outputs on (``_rng.seek``).  Each ``y_builder(z, mask)``
+    returns the factor matrix (or a value that broadcasts to it) from strict
+    prefixes of each row of z only (predictable construction), e.g. ``lambda
+    z, mask: 1.0`` or a function of the cumulative sums of earlier entries.
 
-    A block's Z and Z~ live in the running thread's scratch buffers, at most
-    ``levy_sim._BLOCK_ELEMENTS`` entries (``_row_blocks``), with the entries
-    beyond a row's count zeroed.  Between the passes over Z and over Z~, a
-    chunk keeps only its lhs count and the factors at its real entries (one
-    float per jump, so a chunk's memory still grows with its counts).  The
-    chunks run on ``threads`` threads, with the same result.
+    A block's arrays are the thread's scratch buffers, of at most
+    ``levy_sim._BLOCK_ELEMENTS`` entries (``_row_blocks``), with z zeroed
+    beyond each row's count, and no per-jump value outlives its block: lhs
+    sums z * y at a row's real entries, and rhs compares (z~ * y) * N with x.
+    The chunks run on ``threads`` threads, with the same result.
     """
     if x_level <= 0:
         raise ValueError("x_level must be positive")
+    position = lambda g: (g.bit_generator.state["buffer_pos"],
+                          *g.bit_generator.state["state"]["counter"])
 
-    def hits(i: int, start: int, stop: int) -> tuple[int, int]:
+    def hits(i: int, start: int, stop: int) -> np.ndarray:
         rng = substream(seed, i, AUX_STREAM)
         counts = np.asarray(count_sampler(rng, stop - start))
-        kmax = max(int(counts.max()), 1)
-        blocks = list(_row_blocks(len(counts), kmax))
-        # where each row's real entries start in the flat factor array
-        first = np.concatenate([[0], np.cumsum(counts)])
-        factors = scratch("mpb.factors", int(first[-1]))
-
-        def draw(blk: slice) -> tuple[np.ndarray, np.ndarray]:
+        kmax, first_columns = _first_columns(counts)
+        zt_rng = seek(substream(seed, i, AUX_STREAM), rng.bit_generator.state, len(counts) * kmax)
+        zt_start = position(zt_rng)
+        total = np.zeros((len(y_builders), 2), dtype=int)
+        for blk in _row_blocks(len(counts), 2 * kmax):  # Z and Z~ share one buffer
             shape = (blk.stop - blk.start, kmax)
-            mask = _first_columns(counts[blk], kmax, "mpb.mask")
-            z = scratch("mpb.z", shape)
+            mask = first_columns(blk, "mpb.mask")
+            off = np.logical_not(mask, out=scratch("mpb.off", shape, bool))
+            z, zt = both = scratch("mpb.z", (2, *shape))
             z_sampler(rng, z)
-            np.copyto(z, 0.0, where=np.logical_not(mask, out=scratch("mpb.off", shape, bool)))
-            return mask, z
+            z_sampler(zt_rng, zt)
+            np.copyto(both, 0.0, where=off)
+            wz, above = scratch("mpb.wz", shape), scratch("mpb.above", shape, bool)
+            for tally, y_builder in zip(total, y_builders):
+                y = y_builder(z, mask)
+                np.multiply(z, y, out=wz)
+                np.copyto(wz, 0.0, where=off)
+                tally[0] += np.count_nonzero(wz.sum(axis=1) > x_level)
+                # N max_k Y_k Z~_k > x exactly when some N Y_k Z~_k > x, since
+                # rounding N * z never decreases in z
+                np.multiply(zt, y, out=wz)
+                wz *= counts[blk, None]
+                tally[1] += _rows_with(np.greater(wz, x_level, out=above))
+        if position(rng) != zt_start:
+            raise ValueError("z_sampler must draw exactly one 64-bit output per value")
+        return total
 
-        lhs = rhs = 0
-        for blk in blocks:  # Z: the lhs, and the factors at the real entries
-            mask, z = draw(blk)
-            y = y_builder(z, mask)
-            factors[first[blk.start]:first[blk.stop]] = np.broadcast_to(y, z.shape)[mask]
-            np.multiply(z, y, out=z, where=mask)  # after the copy: y may be a view of z
-            lhs += np.count_nonzero(z.sum(axis=1) > x_level)
-        for blk in blocks:  # Z~, times Z's factors
-            mask, zt = draw(blk)
-            zt[mask] *= factors[first[blk.start]:first[blk.stop]]
-            # N max_k Y_k Z~_k > x exactly when some N Y_k Z~_k > x, since
-            # rounding N * z never decreases in z
-            zt *= counts[blk, None]
-            rhs += _rows_with(np.greater(zt, x_level, out=mask))
-        return int(lhs), rhs
-
-    lhs_hits, rhs_hits = np.sum(chunks(n_trials, _CHUNK, hits, threads), axis=0)
-    return (TailEstimate(x_level, n_trials, int(lhs_hits)),
-            TailEstimate(x_level, n_trials, int(rhs_hits)))
+    return [tuple(TailEstimate(x_level, n_trials, int(h)) for h in sides)
+            for sides in np.sum(chunks(n_trials, _CHUNK, hits, threads), axis=0)]
 
 
 @dataclass(frozen=True)
@@ -577,13 +574,13 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
             # the chunks, and their blocks, read on through this entry's one
             # stream, in order
             counts = rng.poisson(lam, stop - start)
-            kmax = max(int(counts.max()), 1)
+            kmax, first_columns = _first_columns(counts)
             hits = 0
             for blk in _row_blocks(len(counts), kmax):
                 shape = (blk.stop - blk.start, kmax)
                 radii = _pareto_radii(rng, measure.alpha, out=scratch("djt.radii", shape))
                 above = np.greater(radii, thr, out=scratch("djt.above", shape, bool))
-                above &= _first_columns(counts[blk], kmax, "djt.mask")
+                above &= first_columns(blk, "djt.mask")
                 hits += _rows_with(above, 2)
             return hits
 

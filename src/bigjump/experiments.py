@@ -366,11 +366,11 @@ def _run_lemma_checks(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
     sec = spec.lemma_checks
     alpha, lam = sec.alpha, sec.lam
     z_sampler = lambda rng, out: _pareto_radii(rng, alpha, out=out)
+    bounds = maximal_product_bound(
+        lambda rng, size: rng.poisson(lam, size), [lambda z, mask: 1.0, _prefix_factors],
+        z_sampler, sec.n_trials, sec.x_level, spec.seed, threads)
     rows = []
-    for label, y_builder in (("unit", lambda z, mask: 1.0), ("prefix", _prefix_factors)):
-        lhs, rhs = maximal_product_bound(
-            lambda rng, size: rng.poisson(lam, size), y_builder, z_sampler,
-            sec.n_trials, sec.x_level, spec.seed, threads)
+    for label, (lhs, rhs) in zip(("unit", "prefix"), bounds):
         margin = 3.0 * np.hypot(lhs.stderr, 2.0 * rhs.stderr)
         rows.append([label, lhs.u, lhs.p_hat, lhs.stderr, rhs.p_hat, rhs.stderr,
                      str(lhs.p_hat <= 2.0 * rhs.p_hat + margin).lower()])

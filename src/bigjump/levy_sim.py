@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, scratch, substream
+from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, scratch, seek, substream
 from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure, _grid_index
 
@@ -432,33 +432,25 @@ def _row_blocks(n: int, width: int):
     return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
-def _first_columns(counts: np.ndarray, kmax: int, name: str) -> np.ndarray:
-    """The (len(counts), kmax) mask of each row's first ``counts`` (at most
-    ``kmax``) columns, in this thread's boolean scratch buffer ``name``: row c
-    of a (kmax + 1, kmax) table per row, which is faster than comparing the
-    counts with every column."""
-    table = np.arange(kmax) < np.arange(kmax + 1)[:, None]
-    return np.take(table, counts, axis=0, mode="clip",
-                   out=scratch(name, (len(counts), kmax), bool))
+def _first_columns(counts: np.ndarray) -> tuple[int, Callable[[slice, str], np.ndarray]]:
+    """The most ``counts`` (at least 1), kmax, and ``first(rows, name)``: the mask
+    of the first ``counts[rows]`` of kmax columns of those rows, in this thread's
+    boolean scratch buffer ``name``, taken from a table built once here for every
+    count from the fewest to kmax (faster than comparing counts with columns)."""
+    lo, kmax = int(counts.min()), max(int(counts.max()), 1)
+    table = np.arange(kmax) < np.arange(lo, kmax + 1)[:, None]
+    return kmax, lambda rows, name: np.take(
+        table, counts[rows] - lo, axis=0, mode="clip",
+        out=scratch(name, (rows.stop - rows.start, kmax), bool))
 
 
 def _block_marks(model: LevyModel, rng: np.random.Generator, marks: dict, b: int,
                  kmax: int, blk: slice) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``blk`` of the (b, kmax) times and one-dimensional sizes that
-    ``_jump_marks`` draws from the Philox state ``marks``, into scratch.  Each
-    part is read at the block's place in the stream, one output per double:
-    past the buffer's rest, whole counter steps by ``advance``, the remainder."""
-    lo, shape, bits = blk.start * kmax, (blk.stop - blk.start, kmax), rng.bit_generator
-
-    def at(part: int) -> np.random.Generator:
-        skip, bits.state = part * b * kmax + lo, marks
-        head = min(skip, 4 - marks["buffer_pos"])
-        bits.random_raw(head)
-        if skip > head:  # the buffer is empty, so ``advance`` drops no output
-            bits.advance((skip - head) // 4)
-            bits.random_raw((skip - head) % 4)
-        return rng
-
+    ``_jump_marks`` draws from the Philox state ``marks``, into scratch, each
+    part read at the block's place in the stream (``_rng.seek``)."""
+    lo, shape = blk.start * kmax, (blk.stop - blk.start, kmax)
+    at = lambda part: seek(rng, marks, part * b * kmax + lo)
     times = at(0).random(out=scratch("batch.times", shape))
     np.subtract(1.0, times, out=times)
     sizes = _pareto_radii(at(1), model.radial_alpha, out=scratch("batch.sizes", shape))
@@ -517,7 +509,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
         b = stop - start
         rng = substream(seed, batch_index, JUMP_STREAM)
         counts = rng.poisson(model.big_jump_intensity, b)
-        kmax = max(int(counts.max()), 1)
+        kmax, first_columns = _first_columns(counts)
         marks = rng.bit_generator.state  # where the (b x kmax) times start
         endpoints = scratch("batch.endpoint", b)
         sups = scratch("batch.sup", b) if running_sup else None
@@ -528,7 +520,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
             rows = np.arange(r)[:, None]
             shape, wide = (r, kmax), (r, kmax + 1)
             times, sizes = _block_marks(model, rng, marks, b, kmax, blk)
-            mask = _first_columns(counts[blk], kmax, "batch.mask")
+            mask = first_columns(blk, "batch.mask")
             off = np.logical_not(mask, out=scratch("batch.off", shape, bool))
             # time order, with the padding parked beyond the horizon: the
             # parked columns sort last, so ``mask`` holds
@@ -567,21 +559,24 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
             # walk xc (identically 0 without diffusion and drift), at t, at its
             # stretch maxima and interpolated at the jump times.  The block's
             # (rows x grid) arrays are filled in place: the integrand's
-            # normals, once used, give their buffer to the Gaussian ones
+            # normals, once used, give their buffer to the Gaussian ones and those to wc
             wc_end = 0.0
+            if on_grid:  # grid + 1 columns a row, for wc
+                zbuf = scratch("batch.z", r * (grid_size + 1))
+                normals = zbuf[: r * grid_size].reshape(r, grid_size)
             if exp_ou:
                 pos = np.clip(jg, 0, grid_size, out=scratch("batch.pos", shape, np.intp),
                               casting="unsafe")
-                z = y_rng.standard_normal(out=scratch("batch.z", (r, grid_size)))
+                z = y_rng.standard_normal(out=normals)
                 y_grid = _integrand_values(integrand, grid, z,
                                            scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
                 y_jump = np.take_along_axis(y_grid, pos, axis=1)
             elif has_cont:
                 y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
             if has_cont:
-                z = x_rng.standard_normal(out=scratch("batch.z", (r, grid_size, 1)))
+                z = x_rng.standard_normal(out=normals[..., None])
                 xc = _gaussian_walk(model, z, scratch("batch.xc", (r, grid_size + 1, 1)))[..., 0]
-                wc = scratch("batch.wc", (r, grid_size + 1))
+                wc = zbuf.reshape(r, grid_size + 1)
                 wc[:, 0] = 0.0
                 dw = np.subtract(xc[:, 1:], xc[:, :-1], out=wc[:, 1:])  # np.diff
                 dw *= y_grid[:, :-1]

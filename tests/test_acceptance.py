@@ -318,8 +318,8 @@ def test_criterion_10_maximal_product_bound():
     details = []
     ok = True
     for i, (label, lam, builder) in enumerate(configs):
-        lhs, rhs = bj.maximal_product_bound(
-            lambda rng, size, lam=lam: rng.poisson(lam, size), builder, pareto15,
+        [(lhs, rhs)] = bj.maximal_product_bound(
+            lambda rng, size, lam=lam: rng.poisson(lam, size), [builder], pareto15,
             10 ** 6, 20.0, seed=1010 + i)
         margin = 3.0 * math.hypot(lhs.stderr, 2.0 * rhs.stderr)
         good = lhs.p_hat <= 2.0 * rhs.p_hat + margin

@@ -465,9 +465,9 @@ class TestAnalyticPrediction:
 
 class TestMaximalProductBound:
     def test_single_term_same_distribution(self):
-        lhs, rhs = maximal_product_bound(
+        [(lhs, rhs)] = maximal_product_bound(
             lambda rng, size: np.ones(size, dtype=int),
-            lambda z, mask: np.ones_like(z),
+            [lambda z, mask: np.ones_like(z)],
             pareto_sampler(1.5),
             100000, 10.0, seed=2)
         se = math.hypot(lhs.stderr, rhs.stderr)
@@ -475,21 +475,49 @@ class TestMaximalProductBound:
         assert lhs.p_hat <= 2 * rhs.p_hat + 3 * se
 
     def test_zero_sizes(self):
-        lhs, rhs = maximal_product_bound(
+        # one output drawn per value, as the bound requires, and every value 0
+        [(lhs, rhs)] = maximal_product_bound(
             lambda rng, size: rng.poisson(2.0, size),
-            lambda z, mask: np.ones_like(z),
-            lambda rng, out: out.fill(0.0),
+            [lambda z, mask: np.ones_like(z)],
+            lambda rng, out: np.multiply(rng.random(out=out), 0.0, out=out),
             1000, 5.0, seed=3)
         assert lhs.p_hat == 0.0 and rhs.p_hat == 0.0
 
     def test_poisson_bound_holds(self):
-        lhs, rhs = maximal_product_bound(
+        [(lhs, rhs)] = maximal_product_bound(
             lambda rng, size: rng.poisson(2.0, size),
-            lambda z, mask: np.ones_like(z),
+            [lambda z, mask: np.ones_like(z)],
             pareto_sampler(1.5),
             200000, 20.0, seed=4)
         margin = 3 * math.hypot(lhs.stderr, 2 * rhs.stderr)
         assert lhs.p_hat <= 2 * rhs.p_hat + margin
+
+    @pytest.mark.parametrize("z_sampler", [
+        pytest.param(lambda rng, out: np.add(rng.random(out.shape), rng.random(out.shape),
+                                             out=out), id="two-outputs-per-value"),
+        pytest.param(lambda rng, out: out.fill(1.0), id="no-outputs"),
+    ])
+    def test_rejects_samplers_that_do_not_draw_one_output_per_value(self, z_sampler):
+        # Z~ is read where a one-output-per-value draw of Z would end
+        with pytest.raises(ValueError, match="one 64-bit output per value"):
+            maximal_product_bound(lambda rng, size: rng.poisson(2.0, size),
+                                  [lambda z, mask: 1.0], z_sampler, 1000, 5.0, seed=3)
+
+    def test_memory_bounded_in_lam(self):
+        # a chunk's Z and Z~ are drawn and counted one block of rows at a time,
+        # and no per-jump factor is kept, so 50 times the jumps per trial do
+        # not take 50 times the memory
+        builders = [lambda z, mask: 1.0, experiments._prefix_factors]
+        peaks = []
+        for lam in (1.0, 50.0):
+            tracemalloc.start()
+            try:
+                maximal_product_bound(lambda rng, size: rng.poisson(lam, size), builders,
+                                      pareto_sampler(1.5), 1 << 16, 20.0, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestDoubleJumpTrend:
@@ -657,11 +685,29 @@ class TestScratchReductions:
         for budget in _BUDGETS:
             monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
             got = maximal_product_bound(
-                lambda rng, size: rng.poisson(2.0, size), builder,
+                lambda rng, size: rng.poisson(2.0, size), [builder],
+                lambda rng, out: levy_sim._pareto_radii(rng, 1.2, out=out), _N, 6.0, 31,
+                threads)
+            assert got == [want]
+        assert 0 < want[0].hits < want[1].hits < _N
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_maximal_product_bound_many_builders(self, monkeypatch, threads, order):
+        # one call counts every builder on the same draws; the prefix
+        # factors live in a scratch buffer, and the identity's are Z itself
+        monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
+        pairs = [(lambda z, mask: 1.0, lambda z, mask: np.ones_like(z)),
+                 (experiments._prefix_factors, _prefix_reference),
+                 (lambda z, mask: z, lambda z, mask: z)][::order]
+        want = [max_product_reference(2.0, 1.2, ref, _N, 6.0, 31)[0] for _, ref in pairs]
+        assert len(set(want)) == 3
+        for budget in _BUDGETS:
+            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+            got = maximal_product_bound(
+                lambda rng, size: rng.poisson(2.0, size), [b for b, _ in pairs],
                 lambda rng, out: levy_sim._pareto_radii(rng, 1.2, out=out), _N, 6.0, 31,
                 threads)
             assert got == want
-        assert 0 < want[0].hits < want[1].hits < _N
 
     def test_double_jump_trend(self, monkeypatch, threads):
         monkeypatch.setattr(diagnostics, "_CHUNK", _SMALL_CHUNK)
@@ -678,7 +724,7 @@ class TestScratchReductions:
     pytest.param(lambda: breiman_ratio(pareto_sampler(2.0), pareto_sampler(2.0), [2.0], 0, 1),
                  id="breiman_ratio"),
     pytest.param(lambda: maximal_product_bound(
-        lambda rng, size: rng.poisson(1.0, size), lambda z, mask: np.ones_like(z),
+        lambda rng, size: rng.poisson(1.0, size), [lambda z, mask: np.ones_like(z)],
         lambda rng, out: rng.random(out=out), 0, 5.0, 1), id="maximal_product_bound"),
     pytest.param(lambda: double_jump_trend(RegVarMeasure(1.5, 1.0, [([1.0], 1.0)]), 1.0,
                                            0.75, [100, 1000], 0, 1), id="double_jump_trend"),

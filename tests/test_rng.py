@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bigjump import _rng
-from bigjump._rng import AUX_STREAM, chunks, rekey, scratch, substream
+from bigjump._rng import AUX_STREAM, chunks, rekey, scratch, seek, substream
 
 
 @pytest.mark.parametrize("n, size", [(1, 4), (3, 4), (4, 4), (10, 4), (1000, 64)])
@@ -69,3 +69,15 @@ def test_scratch_is_per_thread():
 def test_one_thread_chunks_drops_its_buffers():
     chunks(3, 1, lambda i, start, stop: scratch("test.c", 1000).fill(1.0))
     assert "test.c" not in vars(_rng._buffers)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 8, 1001])
+def test_seek_lands_where_drawing_would(drawn, skip):
+    # ``drawn`` outputs leave 0, 3, 2, 1, 0 and 3 of the four-output buffer
+    rng = substream(9, 2, AUX_STREAM)
+    rng.bit_generator.random_raw(drawn)
+    state = rng.bit_generator.state
+    want = rng.bit_generator.random_raw(skip + 6)[skip:]
+    got = seek(substream(4), state, skip)
+    assert np.array_equal(got.bit_generator.random_raw(6), want)
