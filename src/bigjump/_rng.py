@@ -46,13 +46,13 @@ returns the results in chunk order, so a merge over them is the same for any
 thread keeps one buffer per name, grows it when a chunk needs more and hands
 out a view of it, so the chunks a thread runs draw and transform in place in
 the same pages instead of allocating (and page-faulting) fresh arrays each
-chunk.  The lemma checks and the batch sampler fill theirs one block of rows
-at a time (``levy_sim._row_blocks``), so an array padded to a chunk's most
-jumps, or spread over the grid, holds about ``levy_sim._BLOCK_ELEMENTS``
-values (one row, when a row alone holds more), whatever the jump count or
-grid.  A view holds stale values and is overwritten at the thread's next
-request under that name, so each name has one owner: the chunk function that
-uses it.  The buffers last as long as one ``chunks`` call: a pool thread's
+chunk.  The lemma checks and the batch sampler fill theirs one block of rows at
+a time (``levy_sim._row_blocks``), so a block's arrays padded to its most
+jumps hold about ``levy_sim._BLOCK_ELEMENTS`` floats together, and a grid
+array half that (one row, when a row alone holds more), whatever the jump
+count or grid.  A view holds stale values and is overwritten at the thread's
+next request under that name, so each name has one owner: the chunk function
+that uses it.  The buffers last as long as one ``chunks`` call: a pool thread's
 go with the pool, and a one-thread ``chunks`` drops the calling thread's
 buffers when it returns, so no estimator's buffers outlive it.
 """

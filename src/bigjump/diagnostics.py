@@ -489,8 +489,8 @@ def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np
     prefixes of each row of z only (predictable construction), e.g. ``lambda
     z, mask: 1.0`` or a function of the cumulative sums of earlier entries.
 
-    A block's arrays are the thread's scratch buffers, of at most
-    ``levy_sim._BLOCK_ELEMENTS`` entries (``_row_blocks``), with z zeroed
+    A block's arrays are the thread's scratch buffers, of about
+    ``levy_sim._BLOCK_ELEMENTS`` floats in all (``_row_blocks``), with z zeroed
     beyond each row's count, and no per-jump value outlives its block: lhs
     sums z * y at a row's real entries, and rhs compares (z~ * y) * N with x.
     The chunks run on ``threads`` threads, with the same result.
@@ -507,7 +507,8 @@ def maximal_product_bound(count_sampler: Callable[[np.random.Generator, int], np
         zt_rng = seek(substream(seed, i, AUX_STREAM), rng.bit_generator.state, len(counts) * kmax)
         zt_start = position(zt_rng)
         total = np.zeros((len(y_builders), 2), dtype=int)
-        for blk in _row_blocks(len(counts), 2 * kmax):  # Z and Z~ share one buffer
+        # floats a jump: z and z~ (one buffer), wz, y; counting the masks too raised the peak RSS
+        for blk in _row_blocks(len(counts), 2 * (2 * kmax + 1)):
             shape = (blk.stop - blk.start, kmax)
             mask = first_columns(blk, "mpb.mask")
             off = np.logical_not(mask, out=scratch("mpb.off", shape, bool))
@@ -576,7 +577,8 @@ def double_jump_trend(measure: RegVarMeasure, lam: float, beta: float,
             counts = rng.poisson(lam, stop - start)
             kmax, first_columns = _first_columns(counts)
             hits = 0
-            for blk in _row_blocks(len(counts), kmax):
+            # radii and two masks, counted as two float arrays: more rows raise the peak RSS
+            for blk in _row_blocks(len(counts), 2 * (kmax + 1)):
                 shape = (blk.stop - blk.start, kmax)
                 radii = _pareto_radii(rng, measure.alpha, out=scratch("djt.radii", shape))
                 above = np.greater(radii, thr, out=scratch("djt.above", shape, bool))

@@ -34,9 +34,9 @@ from .regvar import RegVarMeasure, _grid_index
 
 
 # Every sampler holds all of a replicate's jumps in memory, the batch sampler
-# those of one row block: at this rate, n = 8192, grid 512 and exp-OU with
-# diffusion 0.5, tails and tail-equivalence peak at 43 and 47 MB, 4 and 9 MB
-# above intensity 1, for the block's (rows x most jumps) arrays.
+# those of one row block, which has fewer rows the more jumps: at this rate,
+# n = 8192, grid 512 and exp-OU with diffusion 0.5, tails and tail-equivalence
+# peak at 37 and 38 MB, no higher than at intensity 1.
 _MAX_INTENSITY = 1e3
 # The samplers hold grid_size + 1 values per replicate, the batch sampler per row of
 # a block: at this grid, n = 8192, intensity 1 and exp-OU with diffusion 0.5, tails
@@ -44,7 +44,7 @@ _MAX_INTENSITY = 1e3
 _MAX_GRID_SIZE = 4096
 # tails and tail-equivalence reduce each batch to counts, so n sets their time, not
 # their memory: at this n, grid 512, intensity 1 and a constant integrand they peak
-# at 40 and 41 MB (39 and 40 at n = 8192), in 8 and 15 s at --threads 1 (2 vCPUs).
+# at 38 and 39 MB (37.5 at n = 8192), in 8 and 13 s at --threads 1 (2 vCPUs).
 _MAX_N = 2 ** 24
 
 
@@ -416,19 +416,17 @@ def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 # ---------------------------------------------------------------------------
 
 _BATCH = 8192
-# Elements per array of one row block (``_row_blocks``), 512 kB of floats, for
-# every per-chunk computation padded to a chunk's most jumps or spread over the
-# grid.  At 2**18 a tail-equivalence run of 30000 replicates (grid 512, exp-OU,
-# diffusion 0.5) peaks 6 MB higher; smaller blocks cost more numpy calls per
-# replicate, which shows most at --threads 2.
-_BLOCK_ELEMENTS = 2 ** 16
+# Floats a row block (``_row_blocks``) holds over all of its arrays, 1 MB: about
+# half a batch of the batch sampler's jump-only blocks at intensity 1.  Smaller
+# blocks cost more numpy calls per replicate, which shows most at --threads 2.
+_BLOCK_ELEMENTS = 2 ** 17
 
 
-def _row_blocks(n: int, width: int):
-    """Slices of consecutive rows covering [0, n): ``_BLOCK_ELEMENTS //
-    (width + 1)`` rows each (at least one), for arrays of ``width`` or
-    ``width + 1`` columns."""
-    rows = max(1, _BLOCK_ELEMENTS // (width + 1))
+def _row_blocks(n: int, width: float):
+    """Slices of consecutive rows covering [0, n): ``_BLOCK_ELEMENTS // width``
+    rows each (at least one), for a block whose arrays hold ``width`` floats a
+    row in all, a boolean counting an eighth."""
+    rows = max(1, int(_BLOCK_ELEMENTS // width))
     return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
@@ -439,8 +437,8 @@ def _first_columns(counts: np.ndarray) -> tuple[int, Callable[[slice, str], np.n
     count from the fewest to kmax (faster than comparing counts with columns)."""
     lo, kmax = int(counts.min()), max(int(counts.max()), 1)
     table = np.arange(kmax) < np.arange(lo, kmax + 1)[:, None]
-    return kmax, lambda rows, name: np.take(
-        table, counts[rows] - lo, axis=0, mode="clip",
+    return kmax, lambda rows, name: table.take(
+        counts[rows] - lo, axis=0, mode="clip",
         out=scratch(name, (rows.stop - rows.start, kmax), bool))
 
 
@@ -448,16 +446,22 @@ def _block_marks(model: LevyModel, rng: np.random.Generator, marks: dict, b: int
                  kmax: int, blk: slice) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``blk`` of the (b, kmax) times and one-dimensional sizes that
     ``_jump_marks`` draws from the Philox state ``marks``, into scratch, each
-    part read at the block's place in the stream (``_rng.seek``)."""
-    lo, shape = blk.start * kmax, (blk.stop - blk.start, kmax)
-    at = lambda part: seek(rng, marks, part * b * kmax + lo)
-    times = at(0).random(out=scratch("batch.times", shape))
+    part read at the block's place in the stream (``_rng.seek``).  The sizes'
+    buffer has room for a column more, where the batch sampler builds ``cum``."""
+    r = blk.stop - blk.start
+    at = lambda part: seek(rng, marks, (part * b + blk.start) * kmax)
+    times = at(0).random(out=scratch("batch.times", (r, kmax)))
     np.subtract(1.0, times, out=times)
-    sizes = _pareto_radii(at(1), model.radial_alpha, out=scratch("batch.sizes", shape))
-    dirs = model._dirs[:, 0]
-    if len(dirs) > 1:  # the atom each uniform picks
-        u = at(2).random(out=scratch("batch.u", shape))
-        dirs = np.take(dirs, model._cdf.searchsorted(u, side="right"), out=u)
+    sizes = scratch("batch.sizes", r * (kmax + 1))[: r * kmax].reshape(r, kmax)
+    _pareto_radii(at(1), model.radial_alpha, out=sizes)
+    cdf, dirs = model._cdf, model._dirs[:, 0]
+    if len(dirs) > 1:  # the atom each uniform picks: how many of cdf[:-1] are <= it
+        u = at(2).random(out=scratch("batch.u", (r, kmax)))
+        atom = np.less_equal(cdf[0], u, out=scratch("batch.atom", (r, kmax), np.intp),
+                             casting="unsafe")
+        for c in cdf[1:-1]:
+            atom += np.less_equal(c, u, out=scratch("batch.flag", (r, kmax), bool))
+        dirs = dirs.take(atom, mode="clip", out=u)
     sizes *= dirs
     return times, sizes
 
@@ -488,13 +492,14 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
     times its largest jump count, not times the grid size.
 
     Everything after a batch's jump counts runs one block of rows at a time
-    (``_row_blocks``, of width the batch's most jumps, or the grid size when
-    the integrand or the continuous part lives on the grid).  A block reads
-    its jump marks where they lie in the jump stream (``_block_marks``), and
-    its normals on from the integrand and Gaussian streams, as one draw over
-    the batch fills them, so the block size changes no bit.  Its arrays are
-    scratch buffers that every block and batch of the thread reuses: the
-    memory is a few arrays of one block, whatever ``n``, jump rate and grid.
+    (``_row_blocks``, sized by the widths of all its (rows, most jumps) arrays,
+    and on the grid to at most half the budget per (rows, grid) array).  A
+    block reads its jump marks where they lie in the jump stream
+    (``_block_marks``), and its normals on from the integrand and Gaussian
+    streams, as one draw over the batch fills them, so the block size changes
+    no bit.  Its arrays are scratch buffers that every block and batch of the
+    thread reuses, a buffer whose role has ended taking the next role: the
+    memory is one block, whatever ``n``, jump rate and grid.
     """
     if model.dimension != 1:
         raise ValueError("batch functionals support one-dimensional models only")
@@ -504,6 +509,10 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
     on_grid = exp_ou or has_cont  # whether a block builds (rows x grid) arrays
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     y_line = None if exp_ou else _integrand_values(integrand, grid)[:, 0]
+    # a block's floats a row per jump: times (then jz), sizes (then cum), jt, argsort's
+    # order, 4 masks; uniforms, atoms; on the grid positions, stretch maxima, interpolation.
+    # On the grid, the rows of half the budget per grid array (fewer ran 4% slower)
+    per_jump = 4.5 + 2 * (len(model._dirs) > 1) + 4 * on_grid
 
     def batch(batch_index: int, start: int, stop: int):
         b = stop - start
@@ -515,7 +524,7 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
         sups = scratch("batch.sup", b) if running_sup else None
         y_rng, x_rng = (substream(seed, batch_index, INTEGRAND_STREAM),
                         substream(seed, batch_index, GAUSS_STREAM)) if on_grid else (None, None)
-        for blk in _row_blocks(b, max(grid_size if on_grid else 0, kmax)):
+        for blk in _row_blocks(b, max(kmax * per_jump, 2 * (grid_size + 1) * on_grid)):
             r = blk.stop - blk.start
             rows = np.arange(r)[:, None]
             shape, wide = (r, kmax), (r, kmax + 1)
@@ -527,10 +536,10 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
             np.copyto(times, 2.0, where=off)
             order = np.argsort(times, axis=1)
             order += rows * kmax  # flat indices into the block's rows
-            jt = np.take(times, order, mode="clip", out=scratch("batch.jt", shape))
-            jz = np.take(sizes, order, mode="clip", out=scratch("batch.jz", shape))
-            np.copyto(jz, 0.0, where=off)
-            # the block's marks and ``order`` are free now, and hold later arrays
+            jt = times.take(order, mode="clip", out=scratch("batch.jt", shape))
+            # a buffer whose role has ended takes the next: the times' holds jz,
+            # the sizes' jg and then cum, and order's the cells
+            jz = sizes.take(order, mode="clip", out=times)
             jg = np.multiply(jt, grid_size, out=sizes)
 
             # A jump at tau counts on the grid from the first grid point >= tau
@@ -546,15 +555,14 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
                 stretch[:, 0] = stretch[:, kmax] = True
                 np.not_equal(cell[:, 1:], cell[:, :-1], out=stretch[:, 1:kmax])
                 stretch[:, 1:] &= before
-                stretch_wc = scratch("batch.stretch_wc", wide)
-                stretch_wc.fill(0.0)
+                late = np.greater(jt, t, out=mask)  # mask's role ended with off
                 wc_at = 0.0
 
-            # integrand at the jump times; exp-OU takes its last grid sample
-            # before the jump, read from the block's grid values below
+            # integrand at the jump times, written over them; exp-OU takes its
+            # last grid sample before the jump, read from the block's grid values
             if not exp_ou:
-                at = np.multiply(jt, mask, out=times)  # jt at the jumps, else 0
-                y_jump = _integrand_values(integrand, at, out=at[..., None])[..., 0]
+                np.copyto(jt, 0.0, where=off)  # jt at the jumps, else 0
+                y_jump = _integrand_values(integrand, jt, out=jt[..., None])[..., 0]
             # continuous part: left-endpoint sums wc of y against the Gaussian
             # walk xc (identically 0 without diffusion and drift), at t, at its
             # stretch maxima and interpolated at the jump times.  The block's
@@ -567,10 +575,11 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
             if exp_ou:
                 pos = np.clip(jg, 0, grid_size, out=scratch("batch.pos", shape, np.intp),
                               casting="unsafe")
+                pos += rows * (grid_size + 1)  # flat indices into the block's rows
                 z = y_rng.standard_normal(out=normals)
                 y_grid = _integrand_values(integrand, grid, z,
                                            scratch("batch.y", (r, grid_size + 1, 1)))[..., 0]
-                y_jump = np.take_along_axis(y_grid, pos, axis=1)
+                y_jump = y_grid.take(pos, mode="clip", out=jt)
             elif has_cont:
                 y_grid = np.broadcast_to(y_line, (r, grid_size + 1))
             if has_cont:
@@ -583,7 +592,11 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
                 np.cumsum(dw, axis=1, out=dw)
                 wc_end = wc[:, it]
                 if running_sup:
-                    starts = np.hstack([np.zeros((r, 1), dtype=int), cell]) + rows * (it + 1)
+                    starts = scratch("batch.starts", wide, np.intp)
+                    starts[:, 0], starts[:, 1:] = 0, cell
+                    starts += rows * (it + 1)
+                    stretch_wc = scratch("batch.stretch_wc", wide)
+                    stretch_wc.fill(0.0)
                     stretch_wc[stretch] = np.maximum.reduceat(wc[:, : it + 1].ravel(),
                                                               starts[stretch])
                     # the grid step holding each jump, to interpolate between its ends
@@ -594,26 +607,26 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
                     wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
 
             # jump part: cum[:, k] is the sum of the first k jumps in time
-            # order, so the grid value is cum at the jumps seen so far
+            # order, so the grid value is cum at the jumps seen so far (no read
+            # reaches the padding, which sorts past each row's jumps)
             wz = np.multiply(y_jump, jz, out=jz)
-            np.copyto(wz, 0.0, where=off)
-            cum = scratch("batch.cum", wide)
+            cum = scratch("batch.sizes", wide)  # jg's buffer, its role over
             cum[:, 0] = 0.0
             np.cumsum(wz, axis=1, out=cum[:, 1:])
-            endpoints[blk] = wc_end + cum[rows[:, 0], np.count_nonzero(before, axis=1)]
+            endpoints[blk] = wc_end + cum[rows[:, 0], before.sum(axis=1)]
             if not running_sup:
                 continue
 
-            stretch_wc += cum
-            np.copyto(stretch_wc, -np.inf, where=np.logical_not(stretch, out=stretch))
-            sup = stretch_wc.max(axis=1)
             # values on both sides of each jump between grid points: the
             # interpolated continuous part plus the jump sums
-            post = np.add(wc_at, cum[:, 1:], out=times)
+            post = np.add(wc_at, cum[:, 1:], out=jt)
             pre = np.subtract(post, wz, out=wz)
-            late = np.greater(jt, t, out=off)
             np.copyto(post, -np.inf, where=late)
             np.copyto(pre, -np.inf, where=late)
+            # J plus its stretch's largest wc (0 without a continuous part)
+            sums = np.add(stretch_wc, cum, out=stretch_wc) if has_cont else cum
+            np.copyto(sums, -np.inf, where=np.logical_not(stretch, out=stretch))
+            sup = sums.max(axis=1)
             np.maximum(sup, post.max(axis=1), out=sup)
             np.maximum(sup, pre.max(axis=1), out=sup)
             np.maximum(sup, 0.0, out=sups[blk])  # path starts at 0

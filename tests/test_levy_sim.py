@@ -22,6 +22,27 @@ def pure_jump_model(alpha=1.5, lam=1.0):
     return LevyModel(1, lam, alpha, [([1.0], 1.0)])
 
 
+_ROW_BLOCKS, _BLOCK_ELEMENTS = levy_sim._row_blocks, levy_sim._BLOCK_ELEMENTS
+
+
+def block_rows(monkeypatch, rows):
+    """Make every ``levy_sim._row_blocks`` call that ``levy_sim`` makes give
+    blocks of ``rows`` rows, by a budget of ``rows`` times the width it is
+    asked for (the default budget when ``rows`` is None); returns the list
+    that collects the rows of each block handed out."""
+    got = []
+
+    def blocks(n, width):
+        budget = _BLOCK_ELEMENTS if rows is None else rows * width
+        monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+        out = list(_ROW_BLOCKS(n, width))
+        got.extend(blk.stop - blk.start for blk in out)
+        return out
+
+    monkeypatch.setattr(levy_sim, "_row_blocks", blocks)
+    return got
+
+
 class TestModel:
     def test_induced_measure_intensity_equals_rate(self):
         m = LevyModel(2, 2.5, 1.2, [([1.0, 0.0], 0.5), ([0.0, 1.0], 0.5)])
@@ -489,6 +510,24 @@ class TestBatchFunctionals:
             assert peaks[1] <= 1.1 * base, (running_sup, base, peaks)
             assert peaks[2] <= 4 * base, (running_sup, base, peaks)
 
+    def test_jump_only_blocks_fit_the_budget(self):
+        # a tails run without grid arrays (intensity 1, grid 512, four batches)
+        # holds one row block at a time, about half a batch, whose arrays share
+        # buffers by role: about 1 MB, besides each batch's counts and endpoints
+        m, spec = pure_jump_model(), DeterministicIntegrand(1.0, -1.0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                batch_integral_functionals(m, spec, 1.0, n, 3, lambda *_: None, 512,
+                                           running_sup=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # numpy's first-call allocations
+        assert peak(4 * levy_sim._BATCH) <= 1.8e6
+
 
 @pytest.mark.parametrize("rows", [1, 97, None], ids=["1-row", "97-rows", "default"])
 @pytest.mark.parametrize("model", [
@@ -500,17 +539,20 @@ def test_block_marks_bit_equal_to_whole_batch_draw(monkeypatch, model, rows):
     # each block reads its rows of the times, radii and direction uniforms from
     # their places in the jump stream; the Poisson counts leave 3, 2, 1 and 0
     # outputs of the stream's four-output buffer at intensity 1 (2, 0, 2 and 0
-    # at 300)
+    # at 300).  The default blocks are those of a jump-only block of the batch
+    # sampler: one block of 700 rows at intensity 1, and a few dozen rows at 300
     b = 700
+    block_rows(monkeypatch, rows)
     for seed, batch_index in ((3, 0), (8, 5), (1, 1), (21, 2)):
         rng = substream(seed, batch_index, JUMP_STREAM)
         kmax = max(int(rng.poisson(model.big_jump_intensity, b).max()), 1)
         marks = rng.bit_generator.state
         times, sizes = levy_sim._jump_marks(model, rng, (b, kmax))
-        if rows is not None:
-            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", rows * (kmax + 1))
-        blocks = list(levy_sim._row_blocks(b, kmax))
-        assert rows is None or blocks[0].stop == rows
+        blocks = levy_sim._row_blocks(b, kmax * (4.5 + 2 * (len(model.spectral) > 1)))
+        assert [blk.start for blk in blocks[1:]] == [blk.stop for blk in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == b
+        heights = [blk.stop - blk.start for blk in blocks]
+        assert rows is None or set(heights[:-1]) <= {rows} and heights[-1] <= rows
         for blk in blocks:
             got = levy_sim._block_marks(model, rng, marks, b, kmax, blk)
             assert np.array_equal(got[0], times[blk])
@@ -623,13 +665,13 @@ class TestBatchDifferential:
             monkeypatch.setattr(levy_sim, "_BATCH", batch)
         n, seed = 2500, 21
         want = dense_batch_reference(model, spec, t, n, seed, grid_size)
-        # the default row blocks, then blocks of 97 rows and a partial last
-        # block (2500 = 25 * 97 + 75; batches of 700 and a last one of 400)
-        # where the grid is wider than a batch's most jumps, then a budget
-        # below one row, which gives blocks of one row
-        for budget in (levy_sim._BLOCK_ELEMENTS, 97 * (grid_size + 1), grid_size):
-            monkeypatch.setattr(levy_sim, "_BLOCK_ELEMENTS", budget)
+        # the default row blocks, sized by all of a block's arrays, then blocks
+        # of 97 rows and a partial last block (2500 = 25 * 97 + 75; batches of
+        # 700 and a last one of 400), then blocks of one row
+        for rows in (None, 97, 1):
+            heights = block_rows(monkeypatch, rows)
             got = batch_arrays(model, spec, t, n, seed, grid_size)
+            assert rows is None or max(heights) == rows
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             # the endpoint-only mode: the same endpoint bits, and no sup
