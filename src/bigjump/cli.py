@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -84,5 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """The process entry of ``bigjump`` and ``python -m bigjump.cli``: exit with
+    :func:`main`'s code, after freezing every object the run left (``gc.freeze``)
+    so that the interpreter's final collection does not walk numpy's objects."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

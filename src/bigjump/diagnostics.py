@@ -35,10 +35,6 @@ from .regvar import RegVarMeasure, ScalingSequence, weighted_one_step_mass
 BatchSampler = Callable[["np.random.Generator", np.ndarray], object]
 
 _CHUNK = 1 << 16
-# The lemma checks draw and count a chunk one block of rows at a time: at this
-# rate a run of 131072 trials and reps peaks at 38 MB (89 MB when the bound kept
-# one factor per jump, 303 MB when a chunk held (_CHUNK x most jumps) arrays).
-_MAX_LAM = 100.0
 
 
 @dataclass(frozen=True)

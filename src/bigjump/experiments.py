@@ -15,28 +15,30 @@ identical config and seed reproduces the estimate files byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
 from . import __version__
 from ._rng import scratch
-from .diagnostics import (_MAX_LAM, RatioEstimate, TailEstimate, analytic_prediction,
-                          breiman_ratio, double_jump_trend,
-                          maximal_product_bound, one_big_jump_curve,
-                          tail_equivalence)
-from .levy_sim import (_MAX_GRID_SIZE, _MAX_N, ConstantIntegrand, DeterministicIntegrand,
-                       ExpOUIntegrand, LevyModel, SimConfig, _pareto_radii,
-                       batch_integral_functionals, one_jump_integral, simulate_integrand,
-                       simulate_levy_path, stochastic_integral)
+from .levy_sim import (_MAX_GRID_SIZE, _MAX_LAM, _MAX_N, ConstantIntegrand,
+                       DeterministicIntegrand, ExpOUIntegrand, LevyModel, SimConfig,
+                       _pareto_radii, batch_integral_functionals, one_jump_integral,
+                       simulate_integrand, simulate_levy_path, stochastic_integral)
 from .regvar import RegVarMeasure, _grid_index
+
+# The runners import the estimators of ``diagnostics`` when they run, so that
+# ``validate`` (of every kind but tails, whose prediction it computes) and the
+# kinds that call none of them do not load that module.
+if TYPE_CHECKING:
+    from .diagnostics import RatioEstimate
 
 
 class ValidationError(ValueError):
@@ -48,6 +50,8 @@ class ValidationError(ValueError):
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # loads OpenSSL, which only a run needs
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -59,6 +63,10 @@ class RunManifest:
     version: str
     duration_seconds: float
     outputs: tuple[str, ...]
+    # the environment: the thread count and the Python and numpy versions
+    threads: int
+    python: str
+    numpy: str
 
     def to_dict(self) -> dict:
         return {**asdict(self), "outputs": list(self.outputs)}
@@ -301,12 +309,16 @@ _RATIO_HEADER = ["u", "ratio", "stderr", "numerator_hits", "denominator_hits", "
 def _tail_predictions(model: LevyModel, integrand, t: float, grid_size: int, levels) -> list:
     """The limit prediction of P(W_t > u) at each level u: the limit measure is
     homogeneous, so one prediction at level 1 times u**-alpha serves all."""
+    from .diagnostics import analytic_prediction
+
     measure = model.induced_measure()
     mass = analytic_prediction(measure, integrand, t, 1.0, grid_size)
     return [float(mass * np.float64(u) ** -measure.alpha) for u in levels]
 
 
 def _run_tails(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    from .diagnostics import TailEstimate
+
     hits = np.sum(batch_integral_functionals(
         spec.model, spec.integrand, spec.t, spec.n, spec.seed,
         lambda endpoint, _: [np.count_nonzero(endpoint > u) for u in spec.levels],
@@ -322,6 +334,8 @@ def _run_tails(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
 
 
 def _run_breiman(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    from .diagnostics import breiman_ratio
+
     x_sampler = lambda rng, out: _pareto_radii(rng, spec.breiman.alpha, out=out)
     ests = breiman_ratio(x_sampler, spec.breiman.y, spec.levels, spec.n, spec.seed,
                          threads)
@@ -329,6 +343,8 @@ def _run_breiman(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
 
 
 def _run_one_big_jump(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    from .diagnostics import one_big_jump_curve
+
     sup_curve, jump_curve = one_big_jump_curve(
         spec.model, spec.integrand, spec.epsilon, spec.levels, spec.n, spec.seed,
         grid_size=spec.grid_size)
@@ -345,6 +361,8 @@ def _run_one_big_jump(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
 
 
 def _run_tail_equivalence(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    from .diagnostics import tail_equivalence
+
     ests = tail_equivalence(spec.model, spec.integrand, spec.t, spec.levels, spec.n,
                             spec.seed, grid_size=spec.grid_size, threads=threads)
     yield "tail_equivalence", _RATIO_HEADER, _ratio_rows(ests)
@@ -363,6 +381,8 @@ def _prefix_factors(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _run_lemma_checks(spec: SimpleNamespace, threads: int) -> Iterator[tuple]:
+    from .diagnostics import double_jump_trend, maximal_product_bound
+
     sec = spec.lemma_checks
     alpha, lam = sec.alpha, sec.lam
     z_sampler = lambda rng, out: _pareto_radii(rng, alpha, out=out)
@@ -467,8 +487,8 @@ def run(config: dict, out_dir: str | Path = ".", threads: int = 1) -> RunManifes
     start = time.perf_counter()
     outputs = tuple(_write_rows(out, digest, spec.format, *table)
                     for table in _KINDS[spec.kind][1](spec, threads))
-    manifest = RunManifest(digest, spec.seed, __version__,
-                           time.perf_counter() - start, outputs)
+    manifest = RunManifest(digest, spec.seed, __version__, time.perf_counter() - start,
+                           outputs, threads, "%d.%d.%d" % sys.version_info[:3], np.__version__)
     (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=1),
                                        encoding="utf-8")
     return manifest

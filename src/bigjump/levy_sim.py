@@ -24,13 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from ._rng import GAUSS_STREAM, INTEGRAND_STREAM, JUMP_STREAM, chunks, scratch, seek, substream
-from .cadlag import CadlagPath, one_step_approx
 from .regvar import RegVarMeasure, _grid_index
+
+# The per-replicate path builders import ``cadlag`` when they run, so that only
+# ``paths`` (and library callers) load it: the batch sampler builds no path.
+if TYPE_CHECKING:
+    from .cadlag import CadlagPath
 
 
 # Every sampler holds all of a replicate's jumps in memory, the batch sampler
@@ -46,6 +50,11 @@ _MAX_GRID_SIZE = 4096
 # their memory: at this n, grid 512, intensity 1 and a constant integrand they peak
 # at 38 and 39 MB (37.5 at n = 8192), in 8 and 13 s at --threads 1 (2 vCPUs).
 _MAX_N = 2 ** 24
+# The lemma checks' jump rate.  They draw and count a chunk one block of rows at a
+# time: at this rate a run of 131072 trials and reps peaks at 38 MB (89 MB when
+# the bound kept one factor per jump, 303 MB when a chunk held (chunk x most
+# jumps) arrays).
+_MAX_LAM = 100.0
 
 
 @dataclass(frozen=True)
@@ -324,6 +333,8 @@ def simulate_big_jumps(model: LevyModel, cfg: SimConfig) -> tuple[np.ndarray, np
 
 def simulate_small_part(model: LevyModel, cfg: SimConfig) -> CadlagPath:
     """Gaussian random walk with drift on the uniform grid; starts at 0."""
+    from .cadlag import CadlagPath
+
     rng = substream(cfg.seed, cfg.replicate_index, GAUSS_STREAM)
     z = rng.standard_normal((cfg.grid_size, model.dimension))
     return CadlagPath(np.linspace(0.0, 1.0, cfg.grid_size + 1), _gaussian_walk(model, z))
@@ -334,6 +345,8 @@ def assemble_levy_path(small: CadlagPath, times: np.ndarray,
     """Sum of the light part and the step process of the big jumps at
     ``times`` (k,) with ``sizes`` (k, d); the result's jumps are exactly
     these."""
+    from .cadlag import CadlagPath
+
     if len(times) == 0:
         return small
     jt = np.asarray(times, dtype=float)
@@ -359,6 +372,8 @@ def simulate_integrand(spec: IntegrandSpec, cfg: SimConfig,
     """Sample an integrand path on the uniform grid (plus optional extra
     sample times, e.g. the driver's jump times, where exact predictable values
     are needed).  The driving noise stream is independent of the Levy noise."""
+    from .cadlag import CadlagPath
+
     grid = np.linspace(0.0, 1.0, cfg.grid_size + 1)
     if times is not None and len(times):
         grid = np.union1d(grid, np.asarray(times, dtype=float))
@@ -382,6 +397,8 @@ def stochastic_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
     (predictability); the continuous part is a left-endpoint Riemann sum.
     The result's jumps are exactly (tau_k, y_{tau_k} * Z_k).
     """
+    from .cadlag import CadlagPath
+
     if y.dimension != x.dimension:
         raise ValueError(f"dimension mismatch: {y.dimension} vs {x.dimension}")
     grid = np.union1d(y.grid, x.grid)
@@ -402,6 +419,8 @@ def stochastic_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
 def one_jump_integral(y: CadlagPath, x: CadlagPath) -> CadlagPath:
     """The single-step path y_tau * dx_tau * 1_[tau, 1] at the largest jump
     of x, the step of ``one_step_approx(x)``; zero if x has no jumps."""
+    from .cadlag import CadlagPath, one_step_approx
+
     if y.dimension != x.dimension:
         raise ValueError(f"dimension mismatch: {y.dimension} vs {x.dimension}")
     step = one_step_approx(x)
@@ -603,8 +622,23 @@ def batch_integral_functionals(model: LevyModel, integrand: IntegrandSpec, t: fl
                     seg = np.clip(jg, 0, grid_size - 1, casting="unsafe",
                                   out=scratch("batch.seg", shape, np.intp))
                     frac = np.subtract(jg, seg, out=jg)
-                    xc_at = xc[rows, seg] + frac * (xc[rows, seg + 1] - xc[rows, seg])
-                    wc_at = wc[rows, seg] + y_grid[rows, seg] * (xc_at - xc[rows, seg])
+                    # xc_at = x0 + frac * (x1 - x0) and wc_at = wc0 + y0 * (xc_at - x0)
+                    # at the step's ends x0, x1, each gathered once by its flat index
+                    # in the block's (rows x grid + 1) arrays (cell's buffer, its role
+                    # over), and y0 into jg's buffer once frac is used
+                    flat = np.add(seg, rows * (grid_size + 1), out=cell)
+                    x0 = xc.take(flat, mode="clip", out=scratch("batch.x0", shape))
+                    dx = xc.reshape(-1)[1:].take(flat, mode="clip",
+                                                 out=scratch("batch.dx", shape))
+                    dx -= x0
+                    dx *= frac
+                    dx += x0  # xc_at
+                    dx -= x0
+                    y0 = (y_grid.take(flat, mode="clip", out=jg) if exp_ou
+                          else y_line.take(seg, mode="clip", out=jg))
+                    dx *= y0
+                    wc_at = wc.take(flat, mode="clip", out=x0)
+                    wc_at += dx
 
             # jump part: cum[:, k] is the sum of the first k jumps in time
             # order, so the grid value is cum at the jumps seen so far (no read

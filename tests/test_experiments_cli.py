@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,17 @@ class TestCli:
         manifest = json.loads(capsys.readouterr().out)
         assert (tmp_path / "out" / "tails.csv").exists()
         assert manifest["seed"] == 42
+
+    def test_manifest_records_the_environment(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", self._write(tmp_path, breiman_config()), "--threads", "2",
+                         "--out-dir", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((out / "manifest.json").read_text())
+        assert printed == written
+        assert written["threads"] == 2
+        assert written["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert written["numpy"] == np.__version__
 
     def test_validate_ok_and_errors(self, tmp_path, capsys):
         assert cli.main(["validate", self._write(tmp_path, tails_config())]) == 0
